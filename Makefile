@@ -149,5 +149,6 @@ fuzz-smoke:
 	$(GO) test ./internal/bitvec/ -fuzz FuzzBitVec -fuzztime 5s
 	$(GO) test ./internal/graph/ -fuzz FuzzGraphRead -fuzztime 5s
 	$(GO) test ./internal/oracle/ -run FuzzFastOracle -fuzz FuzzFastOracle -fuzztime 5s
+	$(GO) test ./internal/kplex/ -run FuzzExactVsNaive -fuzz FuzzExactVsNaive -fuzztime 5s
 
 ci: build fmt-check vet lint lint-concurrency test race race-bb race-server bench-smoke obs-smoke serve-smoke

@@ -50,7 +50,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -61,6 +60,7 @@ import (
 	"repro/internal/kplex"
 	"repro/internal/obsio"
 	"repro/internal/parallel"
+	"repro/internal/reduce"
 	"repro/internal/server"
 )
 
@@ -85,8 +85,8 @@ func run() error {
 		deltaT   = flag.Int("deltat", 5, "qaMKP: sweeps per anneal (µs analogue)")
 		rPen     = flag.Float64("R", 2, "qaMKP: penalty weight (must be > 1)")
 		embed    = flag.Bool("embed", false, "qaMKP: run through the hardware-embedding pipeline")
-		reduce   = flag.Bool("reduce", false, "apply core-truss co-pruning before solving")
-		nokernel = flag.Bool("nokernel", false, "bb: skip kernelization (degree peeling + component split) and search the raw graph")
+		kernel   = flag.Bool("reduce", false, "solve the core-truss kernel (reduce.Kernelize against the greedy bound) instead of the input")
+		nokernel = flag.Bool("nokernel", false, "bb: skip kernelization (core-truss pruning + component split) and search the raw graph")
 		workers  = flag.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
 		circuit  = flag.Bool("circuit", false, "qmkp/qtkp: force oracle evaluation through circuit replay (disables the semantic fast path; same results, slower)")
 
@@ -144,18 +144,21 @@ func run() error {
 	}
 	fmt.Printf("input: %v, k=%d\n", g, *k)
 
-	if *reduce {
+	if *kernel {
+		if *k < 1 {
+			return fmt.Errorf("-reduce needs k ≥ 1: %w", core.ErrBadSpec)
+		}
 		lb := kplex.Greedy(g, *k)
-		red := g.CoTrussPrune(*k, len(lb)+1)
-		fmt.Printf("reduction: removed %d vertices (greedy lower bound %d)\n", red.Removed, len(lb))
-		if red.Graph.N() == 0 {
-			sort.Ints(lb)
+		kern := reduce.Kernelize(g, *k, len(lb))
+		fmt.Printf("reduction: removed %d vertices, edge rule pruned %d edges (greedy lower bound %d)\n",
+			kern.Stats.Peeled, kern.Stats.EdgesPruned, len(lb))
+		if kern.Sub.N() == 0 {
 			fmt.Printf("solution: size %d, set %v (greedy optimal after reduction)\n", len(lb), oneBased(lb))
 			return nil
 		}
-		g = red.Graph
-		// Results below are reported in reduced ids plus the lift.
-		defer fmt.Printf("(vertex ids above are positions in the reduced graph; lift: %v)\n", oneBased(red.Vertices))
+		g = kern.Sub
+		// Results below are reported in kernel ids plus the lift.
+		defer fmt.Printf("(vertex ids above are positions in the reduced graph; lift: %v)\n", oneBased(kern.Map))
 	}
 
 	switch *algo {

@@ -1,7 +1,7 @@
 // Package graph implements the undirected, unweighted graphs the paper's
 // algorithms operate on: construction, complementation, k-plex/k-cplex
-// verification, synthetic generators matching the paper's datasets, the
-// core–truss co-pruning reduction, and a small text format.
+// verification, synthetic generators matching the paper's datasets, and
+// the DIMACS/SNAP text formats. Reductions live in package reduce.
 //
 // Vertices are integers 0..N-1. The paper's figures use 1-based labels
 // (v1..v6); the text I/O accepts either and stores 0-based.
@@ -107,10 +107,9 @@ func (g *Graph) Degree(v int) int {
 func (g *Graph) Neighbors(v int) []int {
 	g.checkVertex(v)
 	out := make([]int, 0, g.deg[v])
-	for u := 0; u < g.n; u++ {
-		if g.adj[v].Get(u) {
-			out = append(out, u)
-		}
+	row := g.adj[v]
+	for u := row.NextSet(0); u >= 0; u = row.NextSet(u + 1) {
+		out = append(out, u)
 	}
 	return out
 }
@@ -168,19 +167,23 @@ func (g *Graph) InducedDegree(v int, set []int) int {
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // plus the mapping new-index -> old-index. Vertices keep their relative
-// order.
+// order; set must not repeat a vertex.
 func (g *Graph) InducedSubgraph(set []int) (*Graph, []int) {
 	vs := append([]int(nil), set...)
 	sort.Ints(vs)
-	idx := make(map[int]int, len(vs))
+	idx := make([]int, g.n) // idx[v] = 1 + new index of v, 0 when v ∉ set
 	for i, v := range vs {
 		g.checkVertex(v)
-		idx[v] = i
+		if idx[v] != 0 {
+			panic(fmt.Sprintf("graph: vertex %d repeated in induced set", v))
+		}
+		idx[v] = i + 1
 	}
 	sub := New(len(vs))
 	for i, v := range vs {
-		for j := i + 1; j < len(vs); j++ {
-			if g.adj[v].Get(vs[j]) {
+		row := g.adj[v]
+		for u := row.NextSet(v + 1); u >= 0; u = row.NextSet(u + 1) {
+			if j := idx[u] - 1; j >= 0 {
 				sub.AddEdge(i, j)
 			}
 		}

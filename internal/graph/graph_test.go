@@ -127,6 +127,26 @@ func TestInducedDegreeAndSubgraph(t *testing.T) {
 			t.Errorf("ids[%d] = %d, want %d", i, v, set[i])
 		}
 	}
+	// Unsorted input on a wider graph: ids come back sorted and every
+	// pair keeps its edge status.
+	r := Gnm(40, 200, 3)
+	rs, rids := r.InducedSubgraph([]int{31, 2, 17, 5, 39, 0, 22, 8})
+	for i := range rids {
+		if i > 0 && rids[i] <= rids[i-1] {
+			t.Fatalf("ids not ascending: %v", rids)
+		}
+		for j := range rids {
+			if i != j && rs.HasEdge(i, j) != r.HasEdge(rids[i], rids[j]) {
+				t.Errorf("edge {%d,%d} not carried into the induced subgraph", rids[i], rids[j])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("InducedSubgraph accepted a repeated vertex")
+		}
+	}()
+	g.InducedSubgraph([]int{1, 3, 1})
 }
 
 func TestCommonNeighbors(t *testing.T) {

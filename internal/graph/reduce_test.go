@@ -1,17 +1,23 @@
-package graph
+package graph_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/reduce"
 )
+
+// The reduction rules live in package reduce; these tests pin them
+// against mask enumeration on this package's random graphs, asking for
+// exactly the optimum (lb = opt-1), the tightest target a solver hands in.
 
 // maxKPlexBrute returns the maximum k-plex size by mask enumeration
 // (test-only ground truth, n ≤ 20).
-func maxKPlexBrute(g *Graph, k int) int {
+func maxKPlexBrute(g *graph.Graph, k int) int {
 	best := 0
 	for mask := uint64(0); mask < 1<<uint(g.N()); mask++ {
-		set := MaskSubset(mask, g.N())
+		set := graph.MaskSubset(mask, g.N())
 		if len(set) > best && g.IsKPlex(set, k) {
 			best = len(set)
 		}
@@ -22,16 +28,17 @@ func maxKPlexBrute(g *Graph, k int) int {
 func TestCoreReducePreservesOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
-		g := Gnp(11, 0.45, rng.Int63())
+		g := graph.Gnp(11, 0.45, rng.Int63())
 		for k := 1; k <= 3; k++ {
 			opt := maxKPlexBrute(g, k)
-			red := g.CoreReduce(k, opt)
-			if red.Graph.N()+red.Removed != g.N() {
+			kern := reduce.Kernelize(g, k, opt-1)
+			if kern.Stats.N+kern.Stats.Peeled != g.N() {
 				t.Fatalf("reduction accounting broken: %d + %d != %d",
-					red.Graph.N(), red.Removed, g.N())
+					kern.Stats.N, kern.Stats.Peeled, g.N())
 			}
-			if got := maxKPlexBrute(red.Graph, k); got != opt {
-				t.Errorf("k=%d: core reduce lost optimum: %d -> %d", k, opt, got)
+			if got := maxKPlexBrute(kern.Sub, k); got != opt {
+				t.Errorf("trial %d k=%d: kernel lost optimum: %d -> %d (stats %+v)",
+					trial, k, opt, got, kern.Stats)
 			}
 		}
 	}
@@ -39,92 +46,20 @@ func TestCoreReducePreservesOptimum(t *testing.T) {
 
 func TestCoTrussPrunePreservesOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	edgePruned := 0
 	for trial := 0; trial < 20; trial++ {
-		g := Gnp(11, 0.5, rng.Int63())
+		g := graph.Gnp(11, 0.5, rng.Int63())
 		for k := 1; k <= 2; k++ {
 			opt := maxKPlexBrute(g, k)
-			red := g.CoTrussPrune(k, opt)
-			if got := maxKPlexBrute(red.Graph, k); got != opt {
-				t.Errorf("k=%d: co-truss prune lost optimum: %d -> %d", k, opt, got)
+			kern := reduce.Kernelize(g, k, opt-1)
+			if got := maxKPlexBrute(kern.Sub, k); got != opt {
+				t.Errorf("trial %d k=%d: edge rule lost optimum: %d -> %d (stats %+v)",
+					trial, k, opt, got, kern.Stats)
 			}
+			edgePruned += kern.Stats.EdgesPruned
 		}
 	}
-}
-
-func TestCoTrussPruneShrinksSparseGraph(t *testing.T) {
-	// A star plus a planted clique: asking for a large 2-plex must strip
-	// the star leaves.
-	g := New(12)
-	for i := 1; i <= 5; i++ {
-		g.AddEdge(0, i) // star leaves 1..5
-	}
-	for u := 6; u < 12; u++ {
-		for v := u + 1; v < 12; v++ {
-			g.AddEdge(u, v) // clique 6..11
-		}
-	}
-	red := g.CoTrussPrune(2, 6)
-	if red.Removed == 0 {
-		t.Error("expected pruning to remove star leaves")
-	}
-	if got := maxKPlexBrute(red.Graph, 2); got < 6 {
-		t.Errorf("pruned graph lost the size-6 plex: max = %d", got)
-	}
-}
-
-func TestLiftSet(t *testing.T) {
-	g := New(6)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 5)
-	g.AddEdge(3, 5)
-	red := g.CoreReduce(1, 3) // keeps only the triangle {3,4,5}
-	if red.Graph.N() != 3 {
-		t.Fatalf("reduced to %d vertices, want 3", red.Graph.N())
-	}
-	lifted := red.LiftSet([]int{0, 1, 2})
-	want := []int{3, 4, 5}
-	for i := range want {
-		if lifted[i] != want[i] {
-			t.Errorf("LiftSet[%d] = %d, want %d", i, lifted[i], want[i])
-		}
-	}
-}
-
-func TestReadWriteRoundTrip(t *testing.T) {
-	g := Example6()
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != g.N() || got.M() != g.M() {
-		t.Fatalf("round trip changed size: n=%d m=%d", got.N(), got.M())
-	}
-	for u := 0; u < 6; u++ {
-		for v := u + 1; v < 6; v++ {
-			if got.HasEdge(u, v) != g.HasEdge(u, v) {
-				t.Errorf("edge (%d,%d) changed in round trip", u, v)
-			}
-		}
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"e 1 2\n",          // edge before problem line
-		"p 3 1\ne 1 4\n",   // vertex out of range
-		"p 3 1\ne 2 2\n",   // self-loop
-		"p 3 1\nq 1 2\n",   // unknown directive
-		"",                 // no problem line
-		"p 3 1\np 3 1\n",   // duplicate problem line
-		"p 3 1\ne 1 2 3\n", // malformed edge
-	}
-	for _, in := range cases {
-		if _, err := Read(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("Read(%q) succeeded, want error", in)
-		}
+	if edgePruned == 0 {
+		t.Error("the edge rule never fired; the test no longer covers it")
 	}
 }

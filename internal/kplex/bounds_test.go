@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/reduce"
 )
 
 func TestCoreNumbersTriangleWithTail(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 3 attached to 0.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
-	core := CoreNumbers(g)
+	_, core := reduce.DegeneracyOrder(g)
 	want := []int{2, 2, 2, 1}
 	for v, w := range want {
 		if core[v] != w {
@@ -26,7 +27,8 @@ func TestCoreNumbersClique(t *testing.T) {
 			g.AddEdge(u, v)
 		}
 	}
-	for v, c := range CoreNumbers(g) {
+	_, core := reduce.DegeneracyOrder(g)
+	for v, c := range core {
 		if c != 5 {
 			t.Errorf("core[%d] = %d, want 5", v, c)
 		}

@@ -45,16 +45,6 @@ func TestGnm100SolvesPastMaskWall(t *testing.T) {
 		if !g.IsKPlex(res.Set, k) || len(res.Set) != res.Size {
 			t.Errorf("k=%d: BB returned an invalid witness %v", k, res.Set)
 		}
-		// The production pipeline (greedy bound + co-pruning + B&B + lift)
-		// must land on the same optimum in original vertex ids.
-		prod, err := kplex.MaxKPlex(g, k)
-		if err != nil {
-			t.Fatalf("k=%d: MaxKPlex: %v", k, err)
-		}
-		if prod.Size != wantSize[k] || !g.IsKPlex(prod.Set, k) {
-			t.Errorf("k=%d: MaxKPlex size %d (valid=%v), want %d",
-				k, prod.Size, g.IsKPlex(prod.Set, k), wantSize[k])
-		}
 		// The multi-word evaluator agrees on the witness, and no mask
 		// surface was ever involved (n=100 has none).
 		e, err := fastoracle.New(g, k)
@@ -202,6 +192,41 @@ func TestCheckedInInstancesMatchMILP(t *testing.T) {
 				t.Errorf("%s trial %d (n=%d k=%d): BB says %d, MILP says %d",
 					tc.file, trial, size, k, res.Size, len(set))
 			}
+		}
+	}
+}
+
+// TestLadderNodeCounts pins BB's exact size and search-node count on the
+// six rows of the exact ladder (the three checked-in instances at k=2,3).
+// Node counts are deterministic at any worker count, so a change here is a
+// change in how much work the pipeline does. They must never exceed the
+// degree-peel-only counts 2 831, 13 860, 20 803, 358 104, 9 657 and 1. At
+// k=3 the greedy bound on gnm100 and gnm200 targets size 2k, where the
+// edge rule is off, so those two rows search the same tree as peeling
+// alone.
+func TestLadderNodeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		file  string
+		n, m  int
+		k     int
+		size  int
+		nodes int64
+	}{
+		{"gnm100.clq", 100, 300, 2, 5, 1},
+		{"gnm100.clq", 100, 300, 3, 6, 13860},
+		{"gnm200.clq", 200, 800, 2, 5, 9},
+		{"gnm200.clq", 200, 800, 3, 5, 358104},
+		{"planted150.clq", 150, 930, 2, 9, 14},
+		{"planted150.clq", 150, 930, 3, 12, 1},
+	} {
+		g := loadInstance(t, tc.file, tc.n, tc.m)
+		res, err := kplex.BB(g, tc.k)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", tc.file, tc.k, err)
+		}
+		if res.Size != tc.size || res.Nodes != tc.nodes {
+			t.Errorf("%s k=%d: BB (size, nodes) = (%d, %d), want (%d, %d)",
+				tc.file, tc.k, res.Size, res.Nodes, tc.size, tc.nodes)
 		}
 	}
 }

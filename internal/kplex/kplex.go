@@ -11,7 +11,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"repro/internal/bitvec"
 	"repro/internal/fastoracle"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -197,9 +196,9 @@ func (st *bsState) search(cand []int) {
 // behaviour: kernelization on, no observability.
 type BBOptions struct {
 	// Obs carries the observability subsystem: a kplex.bb span over the
-	// solve, reduce.peeled / reduce.kernel_n / fastoracle.bb.nodes
-	// counters attributing the kernelization and search work. The zero
-	// value is inert.
+	// solve, reduce.peeled / reduce.edges_pruned / reduce.kernel_n /
+	// fastoracle.bb.nodes counters attributing the kernelization and
+	// search work. The zero value is inert.
 	Obs obs.Obs
 	// DisableKernel skips the reduction pass and runs branch-and-bound on
 	// the raw graph — the A/B baseline for the kernel-shrink benchmarks
@@ -207,8 +206,9 @@ type BBOptions struct {
 	DisableKernel bool
 }
 
-// BB finds a maximum k-plex with the kernelize-then-search pipeline:
-// greedy lower bound, iterated degree peeling against it, per-component
+// BB finds a maximum k-plex with the kernelize-then-search pipeline, the
+// repo's one exact classical pipeline: greedy lower bound, core–truss
+// co-pruning against it (reduce.Kernelize), per-component
 // deterministic wave-parallel branch-and-bound over the kernel's
 // degeneracy order (fastoracle.BranchBoundCtx), answers lifted back to
 // original vertex ids. Works at any vertex count — the engine needs no
@@ -257,6 +257,12 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 		}
 		return r, nil
 	}
+	// A cancel that lands before the search starts still hands back the
+	// greedy incumbent, even when the reduction alone would prove it
+	// optimal.
+	if err := ctx.Err(); err != nil {
+		return finish(err)
+	}
 	if opt.DisableKernel {
 		e, err := fastoracle.New(g, kEff)
 		if err != nil {
@@ -275,10 +281,15 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 	} else {
 		kern := reduce.Kernelize(g, kEff, len(lb))
 		mx.Add("reduce.peeled", int64(kern.Stats.Peeled))
+		mx.Add("reduce.edges_pruned", int64(kern.Stats.EdgesPruned))
 		mx.Add("reduce.kernel_n", int64(kern.Stats.N))
 		sp.Event("kplex.bb.kernel", obs.Int("kernel_n", kern.Stats.N),
-			obs.Int("peeled", kern.Stats.Peeled), obs.Int("components", kern.Stats.Components),
+			obs.Int("peeled", kern.Stats.Peeled), obs.Int("edges_pruned", kern.Stats.EdgesPruned),
+			obs.Int("components", kern.Stats.Components),
 			obs.Int("degeneracy", kern.Stats.Degeneracy), obs.Int("lb", len(lb)))
+		if err := ctx.Err(); err != nil {
+			return finish(err)
+		}
 		// A k-plex of size ≥ 2k-1 is connected, so components may be
 		// searched independently exactly when every improvement over the
 		// bound is that large; otherwise a disconnected optimum could
@@ -351,52 +362,58 @@ func restrictOrder(order []int, ids []int) []int {
 	return out
 }
 
-// MaxKPlex is the production entry point: it computes a greedy lower
-// bound, applies the core–truss co-pruning reduction targeting a strictly
-// better solution, runs the branch-and-bound on the reduced graph, and
-// lifts the answer back to original vertex ids. Works at any vertex
-// count — the engine needs no mask encoding.
-func MaxKPlex(g *graph.Graph, k int) (Result, error) {
-	lb := Greedy(g, k)
-	red := g.CoTrussPrune(k, len(lb)+1)
-	res, err := BB(red.Graph, k)
-	if err != nil {
-		return Result{}, err
-	}
-	if res.Size < len(lb) {
-		// Reduction targeted size lb+1; if nothing better survived, the
-		// greedy solution is optimal.
-		sorted := append([]int(nil), lb...)
-		sort.Ints(sorted)
-		return Result{Set: sorted, Size: len(lb), Nodes: res.Nodes}, nil
-	}
-	return Result{Set: red.LiftSet(res.Set), Size: res.Size, Nodes: res.Nodes}, nil
-}
-
 // Greedy builds a k-plex by repeated best-candidate insertion from every
 // possible seed vertex and returns the largest found. Deterministic, and
 // bit-identical to the definitional rebuild-and-recheck formulation (kept
-// as greedyReference in the tests): membership lives in a bitset, induced
-// degrees are maintained incrementally, and the per-candidate feasibility
-// test uses the k-plex growth invariant — P ∪ {v} stays a k-plex iff
-// deg_P(v) ≥ |P|+1-k and every member already at its deficiency budget
-// (deg_P(u) = |P|-k) is adjacent to v — so a probe costs O(|critical|)
-// instead of an O(|P|²) IsKPlex rescan on a freshly copied slice.
+// as greedyReference in the tests): induced degrees are maintained
+// incrementally, and the per-candidate feasibility test uses the k-plex
+// growth invariant — P ∪ {v} stays a k-plex iff deg_P(v) ≥ |P|+1-k and
+// every member already at its deficiency budget (deg_P(u) = |P|-k) is
+// adjacent to v — so a probe costs O(|critical|) instead of an O(|P|²)
+// IsKPlex rescan on a freshly copied slice. A probe's gain is deg_P(v),
+// so only the neighbourhood of P (the vertices with positive gain) is
+// scanned; the rest of the graph, all of gain 0, is scanned only when no
+// neighbour fits, and there the lowest index wins, as in the reference.
 func Greedy(g *graph.Graph, k int) []int {
 	n := g.N()
-	member := bitvec.New(n)
+	nbrs := make([][]int, n)
+	for v := range nbrs {
+		nbrs[v] = g.Neighbors(v)
+	}
+	member := make([]bool, n)
 	degS := make([]int, n)
-	var set, critical, best []int
-	for seed := 0; seed < n; seed++ {
-		member.Clear()
-		for i := range degS {
-			degS[i] = 0
-		}
-		set = append(set[:0], seed)
-		member.Set(seed, true)
-		for _, u := range g.Neighbors(seed) {
+	// touched lists every vertex with degS > 0, in no particular order.
+	var set, touched, critical, best []int
+	add := func(v int) {
+		set = append(set, v)
+		member[v] = true
+		for _, u := range nbrs[v] {
+			if degS[u] == 0 {
+				touched = append(touched, u)
+			}
 			degS[u]++
 		}
+	}
+	fits := func(v, s int) bool {
+		if member[v] || degS[v] < s+1-k {
+			return false
+		}
+		for _, u := range critical {
+			if !g.HasEdge(u, v) {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := 0; seed < n; seed++ {
+		for _, u := range touched {
+			degS[u] = 0
+		}
+		for _, u := range set {
+			member[u] = false
+		}
+		set, touched = set[:0], touched[:0]
+		add(seed)
 		for {
 			s := len(set)
 			critical = critical[:0]
@@ -405,32 +422,27 @@ func Greedy(g *graph.Graph, k int) []int {
 					critical = append(critical, u)
 				}
 			}
+			// The reference scans in index order and keeps the first
+			// maximum: the same argmax as the highest gain, ties to the
+			// lowest index.
 			bestV, bestGain := -1, -1
-			for v := 0; v < n; v++ {
-				if member.Get(v) || degS[v] < s+1-k {
-					continue
+			for _, v := range touched {
+				if fits(v, s) && (degS[v] > bestGain || degS[v] == bestGain && v < bestV) {
+					bestV, bestGain = v, degS[v]
 				}
-				ok := true
-				for _, u := range critical {
-					if !g.HasEdge(u, v) {
-						ok = false
+			}
+			if bestV < 0 && s+1-k <= 0 {
+				for v := 0; v < n; v++ {
+					if degS[v] == 0 && fits(v, s) {
+						bestV = v
 						break
 					}
-				}
-				// degS[v] is exactly InducedDegree(v, set): the insertion
-				// gain of the reference formulation.
-				if ok && degS[v] > bestGain {
-					bestV, bestGain = v, degS[v]
 				}
 			}
 			if bestV < 0 {
 				break
 			}
-			set = append(set, bestV)
-			member.Set(bestV, true)
-			for _, u := range g.Neighbors(bestV) {
-				degS[u]++
-			}
+			add(bestV)
 		}
 		if len(set) > len(best) {
 			best = append(best[:0], set...)

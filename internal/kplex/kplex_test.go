@@ -1,11 +1,14 @@
 package kplex
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func TestNaiveExample(t *testing.T) {
@@ -67,8 +70,12 @@ func TestBSValidatesK(t *testing.T) {
 	}
 }
 
-func TestMaxKPlexWithReduction(t *testing.T) {
+// TestBBEdgeRuleMatchesNaive: the one exact pipeline, with the edge rule
+// of the core–truss kernel firing, agrees with the 2^n enumerator and
+// hands back a witness in original vertex ids.
+func TestBBEdgeRuleMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	mx := obs.NewMetrics()
 	for trial := 0; trial < 25; trial++ {
 		n := 8 + rng.Intn(5)
 		g := graph.Gnp(n, 0.4, rng.Int63())
@@ -77,17 +84,20 @@ func TestMaxKPlexWithReduction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MaxKPlex(g, k)
+			got, err := BBOpt(context.Background(), g, k, BBOptions{Obs: obs.Obs{Metrics: mx}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Size != want.Size {
-				t.Fatalf("n=%d k=%d: MaxKPlex size %d != naive %d", n, k, got.Size, want.Size)
+				t.Fatalf("n=%d k=%d: BB size %d != naive %d", n, k, got.Size, want.Size)
 			}
-			if !g.IsKPlex(got.Set, k) {
-				t.Fatalf("MaxKPlex returned a non-k-plex in ORIGINAL ids: %v", got.Set)
+			if !g.IsKPlex(got.Set, k) || len(got.Set) != got.Size {
+				t.Fatalf("BB returned an invalid witness in original ids: %v", got.Set)
 			}
 		}
+	}
+	if mx.Counter("reduce.edges_pruned").Value() == 0 {
+		t.Error("the edge rule never fired; the test no longer covers it")
 	}
 }
 
@@ -221,6 +231,19 @@ func TestGreedyMatchesReference(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d k=%d: Greedy %v, reference %v", n, k, got, want)
 				}
+			}
+		}
+	}
+	// Sparse graphs like the service's, where Greedy scans only the
+	// set's neighbourhood: isolated vertices, several components, and k
+	// large enough that vertices outside the neighbourhood still fit.
+	for trial := int64(0); trial < 12; trial++ {
+		n := 20 + int(trial)*4
+		g := graph.Gnm(n, n/2+int(trial)*n/4, 40+trial)
+		for k := 1; k <= 4; k++ {
+			want := greedyReference(g, k)
+			if got := Greedy(g, k); !slices.Equal(got, want) {
+				t.Fatalf("n=%d m=%d k=%d: Greedy %v, reference %v", n, g.M(), k, got, want)
 			}
 		}
 	}

@@ -3,31 +3,34 @@
 // before branch-and-bound sees it, and hand the search the structural
 // orderings the rules produce along the way.
 //
-// Three deterministic steps:
+// With a certified lower bound lb in hand the search only needs k-plexes
+// of size q = lb+1 or more, and two rules are safe for that target:
 //
-//   - iterated degree peeling: with a certified lower bound lb in hand the
-//     search only needs k-plexes of size ≥ lb+1, and every vertex of such
-//     a plex has degree ≥ lb+1-k inside it, hence in G. Vertices below
-//     the threshold are removed and the rule re-applied until a fixed
-//     point — the (lb+1-k)-core.
-//   - connected-component decomposition: a k-plex of size s ≥ 2k-1 is
-//     connected (a split part would leave some member with too few
-//     neighbours), so when lb+1 ≥ 2k-1 each component can be searched
-//     independently against the shared bound. Kernel.Comps lists the
-//     components; the solver decides whether the bound licenses using
-//     them.
-//   - degeneracy ordering: repeated minimum-degree removal (ties by
-//     index) yields the order branch-and-bound branches over and the
-//     per-vertex core numbers. Low-core vertices root small subtrees that
-//     prune immediately; the dense residue is searched last, when the
-//     incumbent is already strong.
+//   - vertex (core) rule: every member of such a plex has degree ≥ q-k
+//     inside it, hence in the graph; vertices below the threshold go.
+//   - edge (truss) rule: both endpoints of an edge inside such a plex miss
+//     at most k-1 members each, so they share ≥ q-2k common neighbours
+//     inside it; edges with fewer common neighbours in the graph go. The
+//     rule is vacuous, and skipped, when q-2k ≤ 0.
 //
-// This is the classical mirror of the paper's pre-quantum reduction: the
-// ICDE paper integrates core–truss co-pruning (graph.CoTrussPrune) to fit
-// instances onto simulators, and notes the algorithms are orthogonal to
-// any reduction that preserves some maximum k-plex. Kernelize preserves
-// every k-plex of size ≥ lb+1, which is exactly what the bounded search
-// consumes.
+// A plex of size ≥ q keeps every one of its vertices and internal edges
+// under both rules, and a k-plex of the pruned graph is a k-plex of the
+// input (removing edges only lowers degrees), so the kernel's optimum,
+// lifted, is the input's optimum whenever it beats lb. This is the
+// core–truss co-pruning the source paper puts in front of its quantum
+// algorithms, here on the live exact path.
+//
+// Kernelize runs in three deterministic steps:
+//
+//   - a sparse iterated vertex peel on the input, to the (q-k)-core;
+//   - both rules, iterated to their common fixed point on the induced
+//     kernel (which Kernelize owns, so edges are removed in place);
+//   - components and degeneracy order of the edge-pruned kernel. A k-plex
+//     of size s ≥ 2k-1 is connected (a split part would leave some member
+//     with too few neighbours), so when q ≥ 2k-1 each component can be
+//     searched independently against the shared bound. Repeated
+//     minimum-degree removal (ties by index) yields the order
+//     branch-and-bound branches over and the per-vertex core numbers.
 package reduce
 
 import (
@@ -40,20 +43,20 @@ import (
 // Stats records what a Kernelize pass did, for observability and the
 // experiment tables.
 type Stats struct {
-	N0, M0     int // original vertex / edge count
-	N, M       int // kernel vertex / edge count
-	LB         int // the certified lower bound the peel targeted (size ≥ LB+1)
-	Peeled     int // vertices removed by iterated degree peeling
-	Rounds     int // peeling sweeps until the fixed point (≥ 1)
-	Components int // connected components of the kernel
-	Degeneracy int // degeneracy of the kernel (max core number, 0 when empty)
+	N0, M0      int // original vertex / edge count
+	N, M        int // kernel vertex / edge count
+	LB          int // the certified lower bound the rules targeted (size ≥ LB+1)
+	Peeled      int // vertices removed by the vertex rule (N0 - N)
+	EdgesPruned int // edges removed by the edge rule (edges of peeled vertices not counted)
+	Components  int // connected components of the kernel
+	Degeneracy  int // degeneracy of the kernel (max core number, 0 when empty)
 }
 
-// Kernel is the outcome of a Kernelize pass: the peeled graph, the map
+// Kernel is the outcome of a Kernelize pass: the pruned graph, the map
 // back to original vertex ids, and the structural orderings the solver
 // branches over. All fields are deterministic functions of (g, k, lb).
 type Kernel struct {
-	Sub   *graph.Graph // peeled graph, re-indexed to [0, Stats.N)
+	Sub   *graph.Graph // pruned graph, re-indexed to [0, Stats.N)
 	Map   []int        // Map[i] = original id of kernel vertex i (ascending)
 	Order []int        // degeneracy order of Sub (kernel ids, removal order)
 	Core  []int        // Core[v] = core number of kernel vertex v
@@ -63,9 +66,9 @@ type Kernel struct {
 
 // Kernelize shrinks g for a maximum k-plex search that already holds a
 // certified lower bound lb (a witness of size lb exists — e.g. the greedy
-// solution): any k-plex of size ≥ lb+1 survives in Sub, so solving Sub
-// and comparing against lb solves g. k must be ≥ 1 and lb ≥ 0; vertices
-// are peeled while their current degree is below lb+1-k.
+// solution): every k-plex of size ≥ lb+1, with all its internal edges,
+// survives in Sub, so solving Sub and comparing against lb solves g. k
+// must be ≥ 1 and lb ≥ 0. g is not modified.
 func Kernelize(g *graph.Graph, k, lb int) Kernel {
 	if k < 1 {
 		panic(fmt.Sprintf("reduce: k=%d must be ≥ 1", k))
@@ -75,21 +78,20 @@ func Kernelize(g *graph.Graph, k, lb int) Kernel {
 	}
 	n := g.N()
 	st := Stats{N0: n, M0: g.M(), LB: lb}
+	vertexMin, edgeMin := lb+1-k, lb+1-2*k
 	alive := make([]bool, n)
 	deg := make([]int, n)
 	for v := 0; v < n; v++ {
 		alive[v] = true
 		deg[v] = g.Degree(v)
 	}
-	// Iterated peeling: sweep in index order until a sweep removes
+	// Sparse vertex peel: sweep in index order until a sweep removes
 	// nothing. The fixed point (the (lb+1-k)-core) is unique whatever the
-	// removal order, and index-order sweeps make Rounds deterministic too.
-	threshold := lb + 1 - k
-	st.Rounds = 1
+	// removal order.
 	for changed := true; changed; {
 		changed = false
 		for v := 0; v < n; v++ {
-			if !alive[v] || deg[v] >= threshold {
+			if !alive[v] || deg[v] >= vertexMin {
 				continue
 			}
 			alive[v] = false
@@ -101,9 +103,6 @@ func Kernelize(g *graph.Graph, k, lb int) Kernel {
 				}
 			}
 		}
-		if changed {
-			st.Rounds++
-		}
 	}
 	keep := make([]int, 0, n-st.Peeled)
 	for v := 0; v < n; v++ {
@@ -112,6 +111,19 @@ func Kernelize(g *graph.Graph, k, lb int) Kernel {
 		}
 	}
 	sub, ids := g.InducedSubgraph(keep)
+	if edgeMin > 0 {
+		var left []int
+		left, st.EdgesPruned = coTruss(sub, vertexMin, edgeMin)
+		if len(left) < sub.N() {
+			st.Peeled += sub.N() - len(left)
+			var local []int
+			sub, local = sub.InducedSubgraph(left)
+			for i, v := range local {
+				local[i] = ids[v]
+			}
+			ids = local
+		}
+	}
 	kern := Kernel{Sub: sub, Map: ids}
 	kern.Order, kern.Core = DegeneracyOrder(sub)
 	kern.Comps = Components(sub)
@@ -124,6 +136,43 @@ func Kernelize(g *graph.Graph, k, lb int) Kernel {
 	}
 	kern.Stats = st
 	return kern
+}
+
+// coTruss applies the vertex rule (degree < vertexMin) and the edge rule
+// (common neighbours < edgeMin) to g in place until neither fires, and
+// returns the surviving vertices (ascending) and the number of edges the
+// edge rule removed. Both rules only ever become more applicable as
+// edges disappear, so the fixed point is unique whatever the sweep order.
+// A vertex is removed by deleting its edges: vertexMin > edgeMin > 0, so
+// the survivors are exactly the vertices that keep an edge.
+func coTruss(g *graph.Graph, vertexMin, edgeMin int) (left []int, pruned int) {
+	n := g.N()
+	for changed := true; changed; {
+		changed = false
+		for v := 0; v < n; v++ {
+			if d := g.Degree(v); d > 0 && d < vertexMin {
+				for _, u := range g.Neighbors(v) {
+					g.RemoveEdge(v, u)
+				}
+				changed = true
+			}
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range g.Neighbors(u) {
+				if v > u && g.CommonNeighbors(u, v) < edgeMin {
+					g.RemoveEdge(u, v)
+					pruned++
+					changed = true
+				}
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if g.Degree(v) > 0 {
+			left = append(left, v)
+		}
+	}
+	return left, pruned
 }
 
 // LiftSet maps a vertex set of the kernel back to original ids. The

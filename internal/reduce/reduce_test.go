@@ -73,6 +73,93 @@ func TestKernelizeKeepsPlantedPlex(t *testing.T) {
 	}
 }
 
+// kernelOptimum is the maximum k-plex size of the kernel by enumeration.
+func kernelOptimum(t *testing.T, kern reduce.Kernel, k int) int {
+	t.Helper()
+	if kern.Sub.N() == 0 {
+		return 0
+	}
+	res, err := kplex.Naive(kern.Sub, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Size
+}
+
+// A star plus a planted clique: asking for a 2-plex of size 6 must strip
+// the star and leave exactly the clique.
+func TestKernelizeShrinksSparseGraph(t *testing.T) {
+	g := graph.New(12)
+	for i := 1; i <= 5; i++ {
+		g.AddEdge(0, i) // star leaves 1..5
+	}
+	for u := 6; u < 12; u++ {
+		for v := u + 1; v < 12; v++ {
+			g.AddEdge(u, v) // clique 6..11
+		}
+	}
+	kern := reduce.Kernelize(g, 2, 5)
+	if kern.Stats.Peeled != 6 || kern.Stats.N != 6 || kern.Stats.M != 15 {
+		t.Errorf("kernel stats %+v, want the 6-clique alone", kern.Stats)
+	}
+	if got := kernelOptimum(t, kern, 2); got != 6 {
+		t.Errorf("pruned graph lost the size-6 plex: max = %d", got)
+	}
+}
+
+// Two 5-cliques joined by a perfect matching: every vertex has degree 5,
+// so the vertex rule for a 1-plex of size 5 (degree ≥ 4) keeps all of
+// them, but a matching edge has no common neighbours against the edge
+// rule's 5-2 = 3 and must go, splitting the kernel into the two cliques.
+func TestKernelizeEdgeRuleBeyondVertexRule(t *testing.T) {
+	g := graph.New(10)
+	for _, base := range []int{0, 5} {
+		for u := base; u < base+5; u++ {
+			for v := u + 1; v < base+5; v++ {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		g.AddEdge(i, i+5)
+	}
+	kern := reduce.Kernelize(g, 1, 4)
+	st := kern.Stats
+	if st.Peeled != 0 || st.N != 10 {
+		t.Fatalf("no vertex is below the degree threshold, yet %d were removed (%+v)", st.Peeled, st)
+	}
+	if st.EdgesPruned != 5 || st.M != 20 || st.Components != 2 {
+		t.Errorf("stats %+v, want the 5 matching edges pruned and 2 components", st)
+	}
+	for _, e := range kern.Sub.Edges() {
+		if u, v := kern.Map[e[0]], kern.Map[e[1]]; v-u == 5 {
+			t.Errorf("matching edge {%d,%d} survived", u, v)
+		}
+	}
+	if g.M() != 25 {
+		t.Errorf("Kernelize modified its input: m = %d, want 25", g.M())
+	}
+	// Below the edge rule's range (lb+1 ≤ 2k) the same graph keeps every edge.
+	if st := reduce.Kernelize(g, 2, 3).Stats; st.EdgesPruned != 0 || st.M != 25 {
+		t.Errorf("edge rule fired with lb+1-2k ≤ 0: %+v", st)
+	}
+}
+
+func TestKernelLiftSet(t *testing.T) {
+	g := graph.FromEdges(6, [][2]int{{3, 4}, {4, 5}, {3, 5}})
+	kern := reduce.Kernelize(g, 1, 2) // keeps only the triangle {3,4,5}
+	if kern.Sub.N() != 3 {
+		t.Fatalf("reduced to %d vertices, want 3", kern.Sub.N())
+	}
+	lifted := kern.LiftSet([]int{0, 1, 2})
+	want := []int{3, 4, 5}
+	for i := range want {
+		if lifted[i] != want[i] {
+			t.Errorf("LiftSet[%d] = %d, want %d", i, lifted[i], want[i])
+		}
+	}
+}
+
 func TestDegeneracyOrder(t *testing.T) {
 	// Path P4 plus an isolated vertex: degeneracy 1, isolated first.
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}})

@@ -226,8 +226,17 @@ func (s *Server) acquire(ctx context.Context) (release func(), outcome int) {
 	}
 }
 
-// releaseSlot frees one admission slot.
-func (s *Server) releaseSlot() { <-s.sem }
+// releaseSlot frees one admission slot and republishes the gauge, so
+// it drains back to 0 with the traffic.
+func (s *Server) releaseSlot() {
+	<-s.sem
+	s.publishInflight()
+}
+
+// publishInflight sets the server.inflight gauge from the semaphore.
+func (s *Server) publishInflight() {
+	s.metrics.SetGauge("server.inflight", float64(len(s.sem)))
+}
 
 // solveContext derives the per-request solve context: the client's
 // context bounded by the (clamped) requested deadline, torn down early
@@ -274,7 +283,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.metrics.Add("server.admitted", 1)
-	s.metrics.SetGauge("server.inflight", float64(len(s.sem)))
+	s.publishInflight()
 
 	id := fmt.Sprintf("r%d", s.reqID.Add(1))
 	ctx, cancel := s.solveContext(r, req.TimeoutMS)
@@ -405,6 +414,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // per-Server rather than through the process-global expvar page so
 // multiple Servers (tests) never collide on expvar.Publish.
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
+	// Two releases can publish out of order; read the semaphore afresh.
+	s.publishInflight()
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.metrics.WriteJSON(w); err != nil {
 		s.metrics.Add("server.trace_write_errors", 1)

@@ -563,6 +563,41 @@ func TestHealthAndVars(t *testing.T) {
 	}
 }
 
+// TestInflightGaugeDrains: the server.inflight gauge reads 1 while a
+// solve holds a slot and 0 once it has completed, both in the registry
+// and on /debug/vars.
+func TestInflightGaugeDrains(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var during float64
+	s.execFn = func(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.SolveResult, error) {
+		during = s.metrics.Gauge("server.inflight").Value()
+		return Execute(ctx, req, ob)
+	}
+	postSolve(t, ts, &api.SolveRequest{V: api.Version, Algo: api.AlgoGreedy, K: 2, Graph: api.FromGraph(testInstance(9))})
+	if during != 1 {
+		t.Errorf("server.inflight = %v during the solve, want 1", during)
+	}
+	if got := s.metrics.Gauge("server.inflight").Value(); got != 0 {
+		t.Errorf("server.inflight = %v after the request completed, want 0", got)
+	}
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := doc.Gauges["server.inflight"]; !ok || v != 0 {
+		t.Errorf("/debug/vars server.inflight = %v (present %v), want 0", v, ok)
+	}
+}
+
 // TestCacheLRUEviction: capacity is enforced and eviction is
 // least-recently-used.
 func TestCacheLRUEviction(t *testing.T) {
