@@ -168,7 +168,7 @@ func BenchmarkAblationAnnealLogical(b *testing.B) {
 	g := exp.AnnealInput(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.QAMKP(g, 3, &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1}); err != nil {
+		if _, err := core.SolveAnneal(context.Background(), g, core.Spec{K: 3, Anneal: &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkAblationAnnealEmbedded(b *testing.B) {
 	g := exp.AnnealInput(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.QAMKP(g, 3, &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1, Embed: true}); err != nil {
+		if _, err := core.SolveAnneal(context.Background(), g, core.Spec{K: 3, Anneal: &core.AnnealOptions{Shots: 50, DeltaT: 2, Seed: 1, Embed: true}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,10 +343,10 @@ func benchQMKPBinarySearch(b *testing.B, disableFast bool) {
 	g := graph.Gnm(16, 80, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.QMKP(g, 2, &core.GateOptions{
+		res, err := core.SolveMKP(context.Background(), g, core.Spec{K: 2, Gate: &core.GateOptions{
 			Rng:             rand.New(rand.NewSource(1)),
 			DisableFastPath: disableFast,
-		})
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func BenchmarkQMKPByN(b *testing.B) {
 		g := graph.Gnm(n, n*(n-1)/3, 7)
 		b.Run(byN(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.QMKP(g, 2, &core.GateOptions{Rng: rand.New(rand.NewSource(1))}); err != nil {
+				if _, err := core.SolveMKP(context.Background(), g, core.Spec{K: 2, Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(1))}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -392,7 +392,7 @@ func benchObserver(b *testing.B, o func() obs.Obs) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.SolveMKP(context.Background(), g, core.Spec{
-			Algo: core.AlgoMKP, K: 2,
+			K:    2,
 			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(1))},
 			Obs:  o(),
 		})

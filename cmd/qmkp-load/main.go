@@ -230,19 +230,42 @@ func postStream(base string, req *api.SolveRequest) ([]*api.Event, error) {
 }
 
 // debugVars fetches and decodes /debug/vars.
-func debugVars(base string) (map[string]int64, error) {
+func debugVars(base string) (counters map[string]int64, gauges map[string]float64, err error) {
 	resp, err := http.Get(base + "/debug/vars")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Counters map[string]int64 `json:"counters"`
+		Counters map[string]int64   `json:"counters"`
+		Gauges   map[string]float64 `json:"gauges"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return doc.Counters, nil
+	return doc.Counters, doc.Gauges, nil
+}
+
+// awaitDrained polls /debug/vars until the server.inflight gauge reads 0.
+// The daemon frees a request's admission slot just after writing its
+// response, so a client can see the answer a moment before the slot is
+// released; a gauge still above 0 after a second is a leaked slot.
+func awaitDrained(base string) error {
+	deadline := time.Now().Add(time.Second)
+	for {
+		_, gauges, err := debugVars(base)
+		if err != nil {
+			return err
+		}
+		inflight, ok := gauges["server.inflight"]
+		if ok && inflight == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("smoke: server.inflight gauge = %v (published: %v), want 0 once every request has completed", inflight, ok)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // isKPlex verifies a 1-based witness against a wire graph: every member
@@ -337,9 +360,13 @@ func smoke(base, graphFile, algo string, k, expect int, seed int64) (any, error)
 		return nil, fmt.Errorf("smoke: cached witness %v is not a %d-plex under the new labels", res.Set, k)
 	}
 
-	// 4. The counters must agree.
-	counters, err := debugVars(base)
+	// 4. The counters must agree, and with every request answered the
+	// admission gauge must drain to zero.
+	counters, _, err := debugVars(base)
 	if err != nil {
+		return nil, err
+	}
+	if err := awaitDrained(base); err != nil {
 		return nil, err
 	}
 	if counters["server.cache.hits"] < 1 {
@@ -371,7 +398,7 @@ func load(base, algo string, k int, gen string, requests, instances, workers int
 	for i := range bases {
 		bases[i] = api.FromGraph(graph.Gnm(n, m, seed+int64(i)))
 	}
-	before, err := debugVars(base)
+	before, _, err := debugVars(base)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +449,7 @@ func load(base, algo string, k int, gen string, requests, instances, workers int
 		idx := (len(lats)-1)*p + 50 // rounded nearest-rank over 100ths
 		return float64(lats[idx/100].Microseconds()) / 1000.0
 	}
-	after, err := debugVars(base)
+	after, _, err := debugVars(base)
 	if err != nil {
 		return nil, err
 	}

@@ -73,22 +73,21 @@ func main() {
 
 func run() error {
 	var (
-		algo     = flag.String("algo", "qmkp", "algorithm: qmkp | qtkp | qamkp | bb | bs | naive | greedy | tabu | qnclub")
-		k        = flag.Int("k", 2, "k-plex parameter")
-		clubL    = flag.Int("club", 2, "qnclub: diameter bound n of the n-club")
-		tSize    = flag.Int("T", 0, "size threshold (qtkp only)")
-		file     = flag.String("graph", "", "edge-list file (p/e format, 1-based vertices)")
-		gen      = flag.String("gen", "", "generate a random graph: n,m")
-		dataset  = flag.String("dataset", "", "named paper dataset, e.g. 'G_{10,23}'")
-		seed     = flag.Int64("seed", 1, "random seed")
-		shots    = flag.Int("shots", 200, "qaMKP: number of anneals")
-		deltaT   = flag.Int("deltat", 5, "qaMKP: sweeps per anneal (µs analogue)")
-		rPen     = flag.Float64("R", 2, "qaMKP: penalty weight (must be > 1)")
-		embed    = flag.Bool("embed", false, "qaMKP: run through the hardware-embedding pipeline")
-		kernel   = flag.Bool("reduce", false, "solve the core-truss kernel (reduce.Kernelize against the greedy bound) instead of the input")
-		nokernel = flag.Bool("nokernel", false, "bb: skip kernelization (core-truss pruning + component split) and search the raw graph")
-		workers  = flag.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
-		circuit  = flag.Bool("circuit", false, "qmkp/qtkp: force oracle evaluation through circuit replay (disables the semantic fast path; same results, slower)")
+		algo    = flag.String("algo", "qmkp", "algorithm: qmkp | qtkp | qamkp | bb | bs | naive | greedy | tabu | qnclub")
+		k       = flag.Int("k", 2, "k-plex parameter")
+		clubL   = flag.Int("club", 2, "qnclub: diameter bound n of the n-club")
+		tSize   = flag.Int("T", 0, "size threshold (qtkp only)")
+		file    = flag.String("graph", "", "edge-list file (p/e format, 1-based vertices)")
+		gen     = flag.String("gen", "", "generate a random graph: n,m")
+		dataset = flag.String("dataset", "", "named paper dataset, e.g. 'G_{10,23}'")
+		seed    = flag.Int64("seed", 1, "random seed")
+		shots   = flag.Int("shots", 200, "qaMKP: number of anneals")
+		deltaT  = flag.Int("deltat", 5, "qaMKP: sweeps per anneal (µs analogue)")
+		rPen    = flag.Float64("R", 2, "qaMKP: penalty weight (must be > 1)")
+		embed   = flag.Bool("embed", false, "qaMKP: run through the hardware-embedding pipeline")
+		kernel  = flag.Bool("reduce", false, "solve the core-truss kernel (reduce.Kernelize against the greedy bound) instead of the input")
+		workers = flag.Int("workers", 0, "worker count for parallel phases (0 = keep REPRO_WORKERS / NumCPU default); results are identical at any value")
+		circuit = flag.Bool("circuit", false, "qmkp/qtkp: force oracle evaluation through circuit replay (disables the semantic fast path; same results, slower)")
 
 		jsonIn  = flag.String("json-in", "", "read one api.SolveRequest (wire schema v1) from this file ('-' = stdin) and solve it through the daemon's dispatcher; replaces the flag-based input")
 		jsonOut = flag.String("json-out", "", "with -json-in: write the api.SolveResult JSON here ('-' = stdout, the default)")
@@ -138,6 +137,10 @@ func run() error {
 		return runJSON(ctx, *jsonIn, *jsonOut, sink)
 	}
 
+	// Every algorithm but qnclub, and the -reduce pass, read -k.
+	if *k < 1 && (*algo != "qnclub" || *kernel) {
+		return fmt.Errorf("-k=%d must be ≥ 1: %w", *k, core.ErrBadSpec)
+	}
 	g, err := loadGraph(*file, *gen, *dataset, *seed)
 	if err != nil {
 		return err
@@ -145,9 +148,6 @@ func run() error {
 	fmt.Printf("input: %v, k=%d\n", g, *k)
 
 	if *kernel {
-		if *k < 1 {
-			return fmt.Errorf("-reduce needs k ≥ 1: %w", core.ErrBadSpec)
-		}
 		lb := kplex.Greedy(g, *k)
 		kern := reduce.Kernelize(g, *k, len(lb))
 		fmt.Printf("reduction: removed %d vertices, edge rule pruned %d edges (greedy lower bound %d)\n",
@@ -164,7 +164,7 @@ func run() error {
 	switch *algo {
 	case "qmkp":
 		res, err := core.SolveMKP(ctx, g, core.Spec{
-			Algo: core.AlgoMKP, K: *k,
+			K:    *k,
 			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(*seed)), DisableFastPath: *circuit},
 			Obs:  sink.Obs,
 		})
@@ -190,7 +190,7 @@ func run() error {
 			return fmt.Errorf("qtkp needs -T ≥ 1: %w", core.ErrBadSpec)
 		}
 		res, err := core.SolveTKP(ctx, g, core.Spec{
-			Algo: core.AlgoTKP, K: *k, T: *tSize,
+			K: *k, T: *tSize,
 			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(*seed)), DisableFastPath: *circuit},
 			Obs:  sink.Obs,
 		})
@@ -208,7 +208,7 @@ func run() error {
 			len(res.Set), oneBased(res.Set), res.M, res.Iterations, res.ErrorProbability)
 	case "qamkp":
 		res, err := core.SolveAnneal(ctx, g, core.Spec{
-			Algo: core.AlgoAnneal, K: *k,
+			K:      *k,
 			Anneal: &core.AnnealOptions{R: *rPen, Shots: *shots, DeltaT: *deltaT, Seed: *seed, Embed: *embed},
 			Obs:    sink.Obs,
 		})
@@ -234,7 +234,7 @@ func run() error {
 		}
 		fmt.Printf("solution: size %d, set %v (%d nodes expanded)\n", res.Size, oneBased(res.Set), res.Nodes)
 	case "bb":
-		res, err := kplex.BBOpt(ctx, g, *k, kplex.BBOptions{Obs: sink.Obs, DisableKernel: *nokernel})
+		res, err := kplex.BBOpt(ctx, g, *k, kplex.BBOptions{Obs: sink.Obs})
 		switch {
 		case errors.Is(err, kplex.ErrCanceled):
 			fmt.Printf("canceled: best size so far %d, set %v (%d nodes expanded)\n",

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 	// Step 2: penalty-weight sensitivity (the paper's Table VI story).
 	fmt.Println("\npenalty weight sweep (200 shots, Δt = 1):")
 	for _, r := range []float64{1.1, 2, 4, 8} {
-		res, err := core.QAMKP(g, k, &core.AnnealOptions{R: r, Shots: 200, DeltaT: 1, Seed: 7})
+		res, err := core.SolveAnneal(context.Background(), g, core.Spec{K: k, Anneal: &core.AnnealOptions{R: r, Shots: 200, DeltaT: 1, Seed: 7}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 
 	// The same detection on the quantum pipeline. Real agencies would not
 	// have a QPU either — but the algorithm is the point.
-	res, err := core.QMKP(g, 2, nil)
+	res, err := core.SolveMKP(context.Background(), g, core.Spec{K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The 6-vertex example graph of the paper: its maximum 2-plex is
 	// {v1, v2, v4, v5}.
 	g := graph.Example6()
@@ -28,7 +30,7 @@ func main() {
 	fmt.Printf("BS (classical):  size %d, set %v\n", bs.Size, labels(bs.Set))
 
 	// Gate-based quantum search: qTKP for a fixed size threshold...
-	tkp, err := core.QTKP(g, k, 4, nil)
+	tkp, err := core.SolveTKP(ctx, g, core.Spec{K: k, T: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 		tkp.Found, labels(tkp.Set), tkp.Iterations, tkp.ErrorProbability)
 
 	// ...and qMKP for the maximum via binary search.
-	mkp, err := core.QMKP(g, k, nil)
+	mkp, err := core.SolveMKP(ctx, g, core.Spec{K: k})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 		mkp.Size, labels(mkp.Set), mkp.QPUTime)
 
 	// Annealing-based qaMKP on the QUBO reformulation.
-	qa, err := core.QAMKP(g, k, &core.AnnealOptions{Shots: 150, DeltaT: 20})
+	qa, err := core.SolveAnneal(ctx, g, core.Spec{K: k, Anneal: &core.AnnealOptions{Shots: 150, DeltaT: 20}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // CtxFlow is the static half of the cancellation contract (DESIGN.md §9):
-// the context handed to core.Solve* must flow to every cancellation
-// boundary. Three code shapes break it silently — minting a fresh
-// context.Background()/context.TODO() somewhere down the call chain
+// the context handed to core.Solve* or server.Execute must flow to every
+// cancellation boundary. Three code shapes break it silently — minting a
+// fresh context.Background()/context.TODO() somewhere down the call chain
 // (detaching everything below from the caller's deadline), accepting a
 // ctx in a non-first parameter position (callers stop threading it), and
 // a probe/try/shot loop that never polls ctx (cancellation arrives only
@@ -27,8 +27,9 @@ import (
 //     line or the line above) must contain a ctx.Err() or ctx.Done()
 //     call, and must sit in a function with a ctx in scope.
 //  3. no fresh contexts (reachable from the Roots): functions on a call
-//     path from core.Solve* must not call context.Background() or
-//     context.TODO() — the caller's ctx is in (or one hop from) scope.
+//     path from core.Solve* or server.Execute must not call
+//     context.Background() or context.TODO() — the caller's ctx is in
+//     (or one hop from) scope.
 //     Recognized legacy wrappers are exempt: a function WITHOUT a ctx
 //     parameter that passes Background()/TODO() directly as the argument
 //     of a ctx-aware module call (`func SQA(…) { return SQACtx(
@@ -88,7 +89,18 @@ func rootSet(g *CallGraph, specs []CallRoot) ([]*types.Func, map[*types.Func]str
 // DefaultCtxFlow returns the analyzer wired to the repo's solver entry
 // points.
 func DefaultCtxFlow() CtxFlow {
-	return CtxFlow{Roots: []CallRoot{{PkgSuffix: "internal/core", FuncPrefix: "Solve"}}}
+	return CtxFlow{Roots: defaultRoots()}
+}
+
+// defaultRoots are the call-graph roots of the solver entry points shared
+// by ctxflow and errwrap: core.Solve* for the contributed algorithms,
+// and server.Execute, the wire dispatch behind both the daemon and
+// `qmkp -json-in`, which also reaches the classical solvers.
+func defaultRoots() []CallRoot {
+	return []CallRoot{
+		{PkgSuffix: "internal/core", FuncPrefix: "Solve"},
+		{PkgSuffix: "internal/server", FuncPrefix: "Execute"},
+	}
 }
 
 // Name implements ModuleAnalyzer.

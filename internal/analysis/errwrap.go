@@ -11,8 +11,8 @@ import (
 // ErrWrap is the static half of the exit-code contract (DESIGN.md §4):
 // cmd/repro classifies failures by errors.Is against the core sentinels
 // (ErrBadSpec, ErrTooLarge, ErrInfeasible, ErrCanceled), so every error
-// that escapes core.Solve* must keep a sentinel in its %w chain. Three
-// shapes break the chain silently:
+// that escapes core.Solve* or server.Execute must keep a sentinel in its
+// %w chain. Three shapes break the chain silently:
 //
 //  1. chain loss (reachable from the roots, module-wide): fmt.Errorf
 //     that consumes an error argument without a %w verb — the cause is
@@ -40,7 +40,7 @@ type ErrWrap struct {
 // and core's sentinel set.
 func DefaultErrWrap() ErrWrap {
 	return ErrWrap{
-		Roots:     []CallRoot{{PkgSuffix: "internal/core", FuncPrefix: "Solve"}},
+		Roots:     defaultRoots(),
 		Sentinels: []string{"ErrBadSpec", "ErrTooLarge", "ErrInfeasible", "ErrCanceled"},
 	}
 }

@@ -400,6 +400,33 @@ var dangling = 1
 	}
 }
 
+// TestDefaultRootsResolve resolves the ctxflow/errwrap roots against the
+// real module. A root spec that matches nothing silently drops every
+// check behind it, so renaming or deleting a solver entry point must fail
+// here instead.
+func TestDefaultRootsResolve(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", ".."), "")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatalf("LoadAll: %v", err)
+	}
+	roots, names := rootSet(BuildCallGraph(pkgs), defaultRoots())
+	found := make(map[string]bool, len(roots))
+	var resolved []string
+	for _, fn := range roots {
+		found[names[fn]] = true
+		resolved = append(resolved, names[fn])
+	}
+	for _, want := range []string{"server.Execute", "core.SolveTKP", "core.SolveMKP", "core.SolveAnneal"} {
+		if !found[want] {
+			t.Errorf("default root %s not found in the module; resolved roots: %v", want, resolved)
+		}
+	}
+}
+
 // fixtureBless builds one test-policy grant; fixture grants carry a
 // fixed reason so validate() stays satisfied.
 func fixtureBless(pkg string, prims ...string) ConcRule {

@@ -8,11 +8,10 @@
 //   - QAMKP (Algorithm 4): the QUBO reformulation solved on the annealing
 //     substrate (see qamkp.go).
 //
-// The context-first entry points — Solve, SolveTKP, SolveMKP, SolveAnneal
-// in solve.go — are the primary API: they honour cancellation, return the
-// typed sentinels of errors.go, and carry the observability subsystem
-// (internal/obs) through every layer. QTKP/QMKP/QAMKP remain as thin
-// background-context wrappers with their original signatures.
+// Each algorithm has one entry point — SolveTKP, SolveMKP and SolveAnneal
+// in solve.go. They take a context and a Spec, honour cancellation,
+// return the typed sentinels of errors.go, and carry the observability
+// subsystem (internal/obs) through every layer.
 //
 // The gate-based algorithms run on the hybrid simulator (exact, see
 // DESIGN.md) and report three costs: wall-clock of the simulation, gate
@@ -22,7 +21,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -107,19 +105,6 @@ type TKPResult struct {
 // encoding is a single word and the caller did not opt out.
 func fastPathOK(n int, o GateOptions) bool {
 	return n <= 64 && !o.DisableFastPath
-}
-
-// QTKP finds a k-plex of size ≥ T in g, or reports absence (Algorithm 2).
-// It is SolveTKP under context.Background() with verified absence folded
-// back into (Found=false, nil error) — the original signature's
-// convention. Use SolveTKP for cancellation and the ErrInfeasible
-// distinction.
-func QTKP(g *graph.Graph, k, T int, opt *GateOptions) (TKPResult, error) {
-	res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: k, T: T, Gate: opt})
-	if errors.Is(err, ErrInfeasible) {
-		return res, nil
-	}
-	return res, err
 }
 
 // runTKP is one QTKP probe against a compiled oracle: truth-table sweep,
@@ -224,13 +209,6 @@ type MKPResult struct {
 	QPUTime          time.Duration
 	WallTime         time.Duration
 	ErrorProbability float64 // union bound over probes that found solutions
-}
-
-// QMKP finds a maximum k-plex by binary search over QTKP (Algorithm 3).
-// It is SolveMKP under context.Background(); use SolveMKP for
-// cancellation with best-so-far results and typed errors.
-func QMKP(g *graph.Graph, k int, opt *GateOptions) (MKPResult, error) {
-	return SolveMKP(context.Background(), g, Spec{Algo: AlgoMKP, K: k, Gate: opt})
 }
 
 // OracleBreakdown compiles the oracle for (g, k, T) and returns the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 func TestQTKPOnExample(t *testing.T) {
 	g := graph.Example6()
-	res, err := QTKP(g, 2, 4, nil)
+	res, err := SolveTKP(context.Background(), g, Spec{K: 2, T: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +45,9 @@ func TestQTKPOnExample(t *testing.T) {
 
 func TestQTKPAbsence(t *testing.T) {
 	g := graph.Example6()
-	res, err := QTKP(g, 2, 5, nil)
-	if err != nil {
-		t.Fatal(err)
+	res, err := SolveTKP(context.Background(), g, Spec{K: 2, T: 5})
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("absent threshold returned %v, want ErrInfeasible", err)
 	}
 	if res.Found {
 		t.Errorf("QTKP claimed a size-5 2-plex exists: %v", res.Set)
@@ -54,7 +56,7 @@ func TestQTKPAbsence(t *testing.T) {
 
 func TestQTKPWithQuantumCounting(t *testing.T) {
 	g := graph.Example6()
-	res, err := QTKP(g, 2, 4, &GateOptions{QuantumCounting: true, CountingQubits: 9})
+	res, err := SolveTKP(context.Background(), g, Spec{K: 2, T: 4, Gate: &GateOptions{QuantumCounting: true, CountingQubits: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestQMKPMatchesClassicalOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := QMKP(g, k, &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))})
+			got, err := SolveMKP(context.Background(), g, Spec{K: k, Gate: &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +98,7 @@ func TestQMKPProgressiveGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.Gnp(8, 0.5, rng.Int63())
-		res, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))})
+		res, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(rng.Int63()))}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func TestQMKPOnPaperDatasets(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, err := QMKP(d.Build(), 2, nil)
+		res, err := SolveMKP(context.Background(), d.Build(), Spec{K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +134,13 @@ func TestQMKPOnPaperDatasets(t *testing.T) {
 }
 
 func TestQMKPValidation(t *testing.T) {
-	if _, err := QMKP(graph.New(0), 1, nil); err == nil {
+	if _, err := SolveMKP(context.Background(), graph.New(0), Spec{K: 1}); err == nil {
 		t.Error("empty graph accepted")
 	}
-	if _, err := QMKP(graph.Example6(), 0, nil); err == nil {
+	if _, err := SolveMKP(context.Background(), graph.Example6(), Spec{K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := QMKP(graph.Example6(), 7, nil); err == nil {
+	if _, err := SolveMKP(context.Background(), graph.Example6(), Spec{K: 7}); err == nil {
 		t.Error("k>n accepted")
 	}
 }
@@ -163,11 +165,11 @@ func TestOracleBreakdownShares(t *testing.T) {
 
 func TestQMKPDeterministicWithFixedSeed(t *testing.T) {
 	g := graph.Example6()
-	a, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(7))})
+	a, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(7))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(7))})
+	b, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(7))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +182,11 @@ func TestQMKPWithClassicalBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 8; trial++ {
 		g := graph.Gnp(8, 0.5, rng.Int63())
-		plain, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(1))})
+		plain, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(1))}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounded, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(1)), UseClassicalBounds: true})
+		bounded, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(1)), UseClassicalBounds: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +216,11 @@ func TestQMKPFastPathBitIdenticalToCircuit(t *testing.T) {
 		n := 6 + rng.Intn(3)
 		g := graph.Gnp(n, 0.45, rng.Int63())
 		for _, qc := range []bool{false, true} {
-			fast, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc})
+			fast, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			circ, err := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc, DisableFastPath: true})
+			circ, err := SolveMKP(context.Background(), g, Spec{K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(9)), QuantumCounting: qc, DisableFastPath: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,11 +255,11 @@ func TestQMKPFastPathBitIdenticalToCircuit(t *testing.T) {
 
 func TestQTKPFastPathBitIdenticalToCircuit(t *testing.T) {
 	g := graph.Gnm(8, 14, 5)
-	fast, err := QTKP(g, 2, 3, &GateOptions{Rng: rand.New(rand.NewSource(4))})
+	fast, err := SolveTKP(context.Background(), g, Spec{K: 2, T: 3, Gate: &GateOptions{Rng: rand.New(rand.NewSource(4))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	circ, err := QTKP(g, 2, 3, &GateOptions{Rng: rand.New(rand.NewSource(4)), DisableFastPath: true})
+	circ, err := SolveTKP(context.Background(), g, Spec{K: 2, T: 3, Gate: &GateOptions{Rng: rand.New(rand.NewSource(4)), DisableFastPath: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

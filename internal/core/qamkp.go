@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/embedding"
-	"repro/internal/graph"
 	"repro/internal/qubo"
 )
 
@@ -85,15 +83,6 @@ type QAResult struct {
 
 	// EmbedStats is set when Embed was requested.
 	EmbedStats *embedding.Stats
-}
-
-// QAMKP finds a (maximum) k-plex by quantum annealing on the QUBO
-// reformulation (Algorithm 4). Annealing is an anytime approximation: the
-// caller chooses the budget via DeltaT and Shots. It is SolveAnneal under
-// context.Background(); use SolveAnneal for cancellation with
-// best-over-completed-shots results and typed errors.
-func QAMKP(g *graph.Graph, k int, opt *AnnealOptions) (QAResult, error) {
-	return SolveAnneal(context.Background(), g, Spec{Algo: AlgoAnneal, K: k, Anneal: opt})
 }
 
 // cmrVariableLimit bounds the heuristic router: beyond this many logical

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,7 +10,7 @@ import (
 
 func TestQAMKPSolvesExample(t *testing.T) {
 	g := graph.Example6()
-	res, err := QAMKP(g, 2, &AnnealOptions{Shots: 150, DeltaT: 20, Seed: 3})
+	res, err := SolveAnneal(context.Background(), g, Spec{K: 2, Anneal: &AnnealOptions{Shots: 150, DeltaT: 20, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestQAMKPSolvesExample(t *testing.T) {
 func TestQAMKPSamplers(t *testing.T) {
 	g := graph.Example6()
 	for _, sampler := range []string{"sqa", "sa", "hybrid"} {
-		res, err := QAMKP(g, 2, &AnnealOptions{Shots: 100, DeltaT: 15, Seed: 5, Sampler: sampler})
+		res, err := SolveAnneal(context.Background(), g, Spec{K: 2, Anneal: &AnnealOptions{Shots: 100, DeltaT: 15, Seed: 5, Sampler: sampler}})
 		if err != nil {
 			t.Fatalf("%s: %v", sampler, err)
 		}
@@ -41,14 +42,14 @@ func TestQAMKPSamplers(t *testing.T) {
 			t.Errorf("%s: found size %d valid=%v, want ≥ 3", sampler, res.Size, res.Valid)
 		}
 	}
-	if _, err := QAMKP(g, 2, &AnnealOptions{Sampler: "bogus"}); err == nil {
+	if _, err := SolveAnneal(context.Background(), g, Spec{K: 2, Anneal: &AnnealOptions{Sampler: "bogus"}}); err == nil {
 		t.Error("unknown sampler accepted")
 	}
 }
 
 func TestQAMKPEmbedded(t *testing.T) {
 	g := graph.Example6()
-	res, err := QAMKP(g, 2, &AnnealOptions{Shots: 80, DeltaT: 30, Seed: 3, Embed: true})
+	res, err := SolveAnneal(context.Background(), g, Spec{K: 2, Anneal: &AnnealOptions{Shots: 80, DeltaT: 30, Seed: 3, Embed: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +78,13 @@ func TestQAMKPModelValidates(t *testing.T) {
 	if err := qubo.ValidateModel(enc); err != nil {
 		t.Errorf("qaMKP encoding rejected by ValidateModel: %v", err)
 	}
-	if _, err := QAMKP(g, 2, &AnnealOptions{Shots: 10, DeltaT: 5, Seed: 3}); err != nil {
+	if _, err := SolveAnneal(context.Background(), g, Spec{K: 2, Anneal: &AnnealOptions{Shots: 10, DeltaT: 5, Seed: 3}}); err != nil {
 		t.Errorf("QAMKP with validated encoding failed: %v", err)
 	}
 }
 
 func TestQAMKPRejectsBadR(t *testing.T) {
-	if _, err := QAMKP(graph.Example6(), 2, &AnnealOptions{R: 0.5}); err == nil {
+	if _, err := SolveAnneal(context.Background(), graph.Example6(), Spec{K: 2, Anneal: &AnnealOptions{R: 0.5}}); err == nil {
 		t.Error("R < 1 accepted")
 	}
 }

@@ -16,62 +16,22 @@ import (
 	"repro/internal/qubo"
 )
 
-// Algo selects the algorithm a Spec requests.
-type Algo string
-
-// The three contributed algorithms (paper Algorithms 2–4).
-const (
-	AlgoTKP    Algo = "qtkp"
-	AlgoMKP    Algo = "qmkp"
-	AlgoAnneal Algo = "qamkp"
-)
-
 // MaxGateVertices caps the gate-model entry points: the Grover engine
 // holds a dense 2^n statevector over the vertex register, so 24
 // vertices (256 MiB of amplitudes) is the practical ceiling. Larger
 // instances return ErrTooLarge; the annealing path has no such cap.
 const MaxGateVertices = 24
 
-// Spec is a solve request. Exactly the fields relevant to Algo are
-// consulted: K everywhere, T for AlgoTKP, Gate for the gate-model
-// algorithms, Anneal for AlgoAnneal. Obs carries the observability
-// subsystem; its zero value is inert and costs nothing.
+// Spec is a solve request. Each entry point consults only its own
+// fields: K everywhere, T for SolveTKP, Gate for SolveTKP and SolveMKP,
+// Anneal for SolveAnneal. Obs carries the observability subsystem; its
+// zero value is inert and costs nothing.
 type Spec struct {
-	Algo   Algo
 	K      int
 	T      int
 	Gate   *GateOptions
 	Anneal *AnnealOptions
 	Obs    obs.Obs
-}
-
-// Result is the union of the per-algorithm outcomes; the field matching
-// Spec.Algo is non-nil. On cancellation the partial result is still
-// populated alongside ErrCanceled.
-type Result struct {
-	Algo Algo
-	TKP  *TKPResult
-	MKP  *MKPResult
-	QA   *QAResult
-}
-
-// Solve dispatches a Spec to the algorithm it requests. Cancellation
-// and deadline on ctx are honoured at probe, Grover-try, and anneal
-// shot-batch boundaries; on cancellation the best result found so far
-// comes back alongside an error wrapping ErrCanceled.
-func Solve(ctx context.Context, g *graph.Graph, spec Spec) (Result, error) {
-	switch spec.Algo {
-	case AlgoTKP:
-		res, err := SolveTKP(ctx, g, spec)
-		return Result{Algo: AlgoTKP, TKP: &res}, err
-	case AlgoMKP:
-		res, err := SolveMKP(ctx, g, spec)
-		return Result{Algo: AlgoMKP, MKP: &res}, err
-	case AlgoAnneal:
-		res, err := SolveAnneal(ctx, g, spec)
-		return Result{Algo: AlgoAnneal, QA: &res}, err
-	}
-	return Result{}, fmt.Errorf("core: unknown algorithm %q: %w", spec.Algo, ErrBadSpec)
 }
 
 // gateSpecCheck validates the shared gate-model invariants and returns
@@ -98,15 +58,14 @@ func isCtxErr(err error) bool {
 
 // canceled wraps a context-caused failure of one algorithm into the
 // ErrCanceled sentinel, keeping the cause in the chain.
-func canceled(algo Algo, err error) error {
+func canceled(algo string, err error) error {
 	return fmt.Errorf("%w (%s): %w", ErrCanceled, algo, err)
 }
 
 // SolveTKP runs QTKP (Algorithm 2) under a context: find a k-plex of
-// size ≥ spec.T or certify absence. Unlike the QTKP wrapper, a verified
-// absence returns the fully-accounted result alongside ErrInfeasible,
-// so "not found" and "found" are distinguishable without inspecting the
-// result struct.
+// size ≥ spec.T or certify absence. A verified absence returns the
+// fully-accounted result alongside ErrInfeasible, so "not found" and
+// "found" are distinguishable without inspecting the result struct.
 func SolveTKP(ctx context.Context, g *graph.Graph, spec Spec) (TKPResult, error) {
 	n, err := gateSpecCheck(g, spec.K)
 	if err != nil {
@@ -137,7 +96,7 @@ func SolveTKP(ctx context.Context, g *graph.Graph, spec Spec) (TKPResult, error)
 	}
 	if err != nil {
 		if isCtxErr(err) {
-			return res, canceled(AlgoTKP, err)
+			return res, canceled("qtkp", err)
 		}
 		return res, err
 	}
@@ -232,7 +191,7 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 	for lo <= hi { //ctx:boundary probe
 		if cerr := ctx.Err(); cerr != nil {
 			finish()
-			return out, canceled(AlgoMKP, cerr)
+			return out, canceled("qmkp", cerr)
 		}
 		T := (lo + hi + 1) / 2
 		// The circuit is still compiled per probe: gate counts and QPU
@@ -261,7 +220,7 @@ func SolveMKP(ctx context.Context, g *graph.Graph, spec Spec) (MKPResult, error)
 		if err != nil {
 			finish()
 			if isCtxErr(err) {
-				return out, canceled(AlgoMKP, err)
+				return out, canceled("qmkp", err)
 			}
 			return out, err
 		}
@@ -398,7 +357,7 @@ func SolveAnneal(ctx context.Context, g *graph.Graph, spec Spec) (QAResult, erro
 		sp.End(obs.Int("size", out.Size), obs.Bool("valid", out.Valid), obs.Int("shots_merged", len(out.Trace)))
 	}
 	if runErr != nil {
-		return out, canceled(AlgoAnneal, runErr)
+		return out, canceled("qamkp", runErr)
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -64,18 +63,17 @@ func TestSolveBadSpecSentinels(t *testing.T) {
 		run  func() error
 		want error
 	}{
-		{"unknown algo", func() error { _, err := Solve(ctx, g, Spec{Algo: "bogus", K: 2}); return err }, ErrBadSpec},
-		{"nil graph", func() error { _, err := SolveMKP(ctx, nil, Spec{Algo: AlgoMKP, K: 2}); return err }, ErrBadSpec},
-		{"k too small", func() error { _, err := SolveMKP(ctx, g, Spec{Algo: AlgoMKP, K: 0}); return err }, ErrBadSpec},
-		{"k too large", func() error { _, err := SolveMKP(ctx, g, Spec{Algo: AlgoMKP, K: 7}); return err }, ErrBadSpec},
-		{"T too small", func() error { _, err := SolveTKP(ctx, g, Spec{Algo: AlgoTKP, K: 2, T: 0}); return err }, ErrBadSpec},
-		{"T too large", func() error { _, err := SolveTKP(ctx, g, Spec{Algo: AlgoTKP, K: 2, T: 7}); return err }, ErrBadSpec},
+		{"nil graph", func() error { _, err := SolveMKP(ctx, nil, Spec{K: 2}); return err }, ErrBadSpec},
+		{"k too small", func() error { _, err := SolveMKP(ctx, g, Spec{K: 0}); return err }, ErrBadSpec},
+		{"k too large", func() error { _, err := SolveMKP(ctx, g, Spec{K: 7}); return err }, ErrBadSpec},
+		{"T too small", func() error { _, err := SolveTKP(ctx, g, Spec{K: 2, T: 0}); return err }, ErrBadSpec},
+		{"T too large", func() error { _, err := SolveTKP(ctx, g, Spec{K: 2, T: 7}); return err }, ErrBadSpec},
 		{"unknown sampler", func() error {
-			_, err := SolveAnneal(ctx, g, Spec{Algo: AlgoAnneal, K: 2, Anneal: &AnnealOptions{Sampler: "bogus"}})
+			_, err := SolveAnneal(ctx, g, Spec{K: 2, Anneal: &AnnealOptions{Sampler: "bogus"}})
 			return err
 		}, ErrBadSpec},
 		{"gate cap", func() error {
-			_, err := SolveMKP(ctx, graph.Gnm(MaxGateVertices+1, 40, 1), Spec{Algo: AlgoMKP, K: 2})
+			_, err := SolveMKP(ctx, graph.Gnm(MaxGateVertices+1, 40, 1), Spec{K: 2})
 			return err
 		}, ErrTooLarge},
 	}
@@ -89,7 +87,7 @@ func TestSolveBadSpecSentinels(t *testing.T) {
 
 func TestSolveTKPInfeasibleSentinel(t *testing.T) {
 	g := graph.Example6()
-	res, err := SolveTKP(context.Background(), g, Spec{Algo: AlgoTKP, K: 2, T: 5})
+	res, err := SolveTKP(context.Background(), g, Spec{K: 2, T: 5})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("SolveTKP on an infeasible threshold returned %v, want ErrInfeasible", err)
 	}
@@ -99,12 +97,6 @@ func TestSolveTKPInfeasibleSentinel(t *testing.T) {
 	if res.Gates == 0 || res.OracleCalls == 0 {
 		t.Errorf("absence probe reported no cost (gates=%d, oracle calls=%d); a real run pays the full schedule", res.Gates, res.OracleCalls)
 	}
-	// The compatibility wrapper keeps the original convention: verified
-	// absence is (Found=false, nil error).
-	wres, werr := QTKP(g, 2, 5, nil)
-	if werr != nil || wres.Found {
-		t.Errorf("QTKP wrapper: got (found=%v, err=%v), want (false, nil)", wres.Found, werr)
-	}
 }
 
 func TestSolveMKPCancelMidSearch(t *testing.T) {
@@ -112,7 +104,7 @@ func TestSolveMKPCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ob := &cancelOnSpanEnd{name: "qmkp.probe", cancel: cancel}
-	res, err := SolveMKP(ctx, g, Spec{Algo: AlgoMKP, K: 2, Obs: obs.Obs{Trace: obs.NewTrace(ob)}})
+	res, err := SolveMKP(ctx, g, Spec{K: 2, Obs: obs.Obs{Trace: obs.NewTrace(ob)}})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled solve returned %v, want ErrCanceled in the chain", err)
 	}
@@ -139,7 +131,7 @@ func TestSolveAnnealCancelMidShots(t *testing.T) {
 	mx := obs.NewMetrics()
 	ctx := newCountdownCtx(3)
 	res, err := SolveAnneal(ctx, g, Spec{
-		Algo: AlgoAnneal, K: 3,
+		K:      3,
 		Anneal: &AnnealOptions{Shots: shots, Seed: 5},
 		Obs:    obs.Obs{Metrics: mx},
 	})
@@ -158,21 +150,6 @@ func TestSolveAnnealCancelMidShots(t *testing.T) {
 	}
 }
 
-func TestSolveWrapperEquivalence(t *testing.T) {
-	g := graph.Gnm(9, 15, 3)
-	wrapped, werr := QMKP(g, 2, &GateOptions{Rng: rand.New(rand.NewSource(7))})
-	direct, derr := SolveMKP(context.Background(), g, Spec{
-		Algo: AlgoMKP, K: 2, Gate: &GateOptions{Rng: rand.New(rand.NewSource(7))},
-	})
-	if werr != nil || derr != nil {
-		t.Fatalf("errors: wrapper %v, direct %v", werr, derr)
-	}
-	wrapped.WallTime, direct.WallTime = 0, 0
-	if !reflect.DeepEqual(wrapped, direct) {
-		t.Errorf("QMKP and SolveMKP disagree for the same seed:\nwrapper: %+v\ndirect:  %+v", wrapped, direct)
-	}
-}
-
 func TestSolveTraceDeterministicAcrossWorkers(t *testing.T) {
 	restore := parallel.SetWorkers(0)
 	defer parallel.SetWorkers(restore)
@@ -183,7 +160,7 @@ func TestSolveTraceDeterministicAcrossWorkers(t *testing.T) {
 		rec := obs.NewRecorder()
 		mx := obs.NewMetrics()
 		_, err := SolveMKP(context.Background(), graph.Gnm(10, 23, 5), Spec{
-			Algo: AlgoMKP, K: 2,
+			K:    2,
 			Gate: &GateOptions{Rng: rand.New(rand.NewSource(9))},
 			Obs:  obs.Obs{Trace: obs.NewTrace(rec), Metrics: mx},
 		})
@@ -219,11 +196,11 @@ func TestSolveCancelLeavesNoGoroutines(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := SolveAnneal(ctx, graph.Gnm(12, 30, 2), Spec{
-		Algo: AlgoAnneal, K: 3, Anneal: &AnnealOptions{Shots: 20, Seed: 1},
+		K: 3, Anneal: &AnnealOptions{Shots: 20, Seed: 1},
 	}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled anneal returned %v, want ErrCanceled", err)
 	}
-	if _, err := SolveTKP(ctx, graph.Example6(), Spec{Algo: AlgoTKP, K: 2, T: 4}); !errors.Is(err, ErrCanceled) {
+	if _, err := SolveTKP(ctx, graph.Example6(), Spec{K: 2, T: 4}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled gate solve returned %v, want ErrCanceled", err)
 	}
 

@@ -44,7 +44,7 @@ func Table5(cfg Config) (Result, error) {
 				shots = 1
 			}
 			res, err := core.SolveAnneal(context.Background(), g, core.Spec{
-				Algo: core.AlgoAnneal, K: 3,
+				K:      3,
 				Anneal: &core.AnnealOptions{R: 2, DeltaT: dt, Shots: shots, Seed: cfg.seed()},
 				Obs:    cfg.Obs,
 			})
@@ -88,7 +88,7 @@ func Table6(cfg Config) (Result, error) {
 		row := []string{fmt.Sprintf("%g", r)}
 		maxShots := runtimes[len(runtimes)-1]
 		res, err := core.SolveAnneal(context.Background(), g, core.Spec{
-			Algo: core.AlgoAnneal, K: 3,
+			K:      3,
 			Anneal: &core.AnnealOptions{R: r, DeltaT: 1, Shots: maxShots, Seed: cfg.seed()},
 			Obs:    cfg.Obs,
 		})
@@ -101,7 +101,7 @@ func Table6(cfg Config) (Result, error) {
 			cost := res.Trace[rt-1]
 			cell := fmt.Sprintf("%.1f", cost)
 			sub, err := core.SolveAnneal(context.Background(), g, core.Spec{
-				Algo: core.AlgoAnneal, K: 3,
+				K:      3,
 				Anneal: &core.AnnealOptions{R: r, DeltaT: 1, Shots: rt, Seed: cfg.seed()},
 				Obs:    cfg.Obs,
 			})
@@ -286,7 +286,7 @@ func Table7(cfg Config) (Result, error) {
 	maxShots := runtimes[len(runtimes)-1]
 	for k := 2; k <= 5; k++ {
 		res, err := core.SolveAnneal(context.Background(), g, core.Spec{
-			Algo: core.AlgoAnneal, K: k,
+			K:      k,
 			Anneal: &core.AnnealOptions{R: 2, DeltaT: 1, Shots: maxShots, Seed: cfg.seed()},
 			Obs:    cfg.Obs,
 		})

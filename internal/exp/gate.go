@@ -38,7 +38,7 @@ func Table1(cfg Config) (Result, error) {
 	}
 	g := d.Build()
 	res, err := core.SolveMKP(context.Background(), g, core.Spec{
-		Algo: core.AlgoMKP, K: 2,
+		K:    2,
 		Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(cfg.seed()))},
 		Obs:  cfg.Obs,
 	})
@@ -59,7 +59,7 @@ func Table1(cfg Config) (Result, error) {
 		shots = 20
 	}
 	qa, err := core.SolveAnneal(context.Background(), AnnealInput(da), core.Spec{
-		Algo: core.AlgoAnneal, K: 3,
+		K:      3,
 		Anneal: &core.AnnealOptions{Shots: shots, DeltaT: 5, Seed: cfg.seed()},
 		Obs:    cfg.Obs,
 	})
@@ -151,7 +151,7 @@ func gateRow(g *graph.Graph, k int, cfg Config) ([]string, error) {
 		return nil, err
 	}
 	qm, err := core.SolveMKP(context.Background(), g, core.Spec{
-		Algo: core.AlgoMKP, K: k,
+		K:    k,
 		Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(cfg.seed()))},
 		Obs:  cfg.Obs,
 	})

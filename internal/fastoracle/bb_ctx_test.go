@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/reduce"
 )
 
 // countdownCtx reports cancellation once its Err method has been
@@ -46,14 +47,15 @@ func TestBranchBoundCtxCancelMidWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.BranchBoundCtx(context.Background(), BBOptions{})
+	order, _ := reduce.DegeneracyOrder(g)
+	full, err := e.BranchBound(context.Background(), BBOptions{Order: order})
 	if err != nil {
 		t.Fatalf("uncanceled run errored: %v", err)
 	}
 
 	baseline := runtime.NumGoroutine()
 	ctx := newCountdownCtx(3)
-	res, err := e.BranchBoundCtx(ctx, BBOptions{})
+	res, err := e.BranchBound(ctx, BBOptions{Order: order})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-wave cancel returned %v, want context.Canceled in the chain", err)
 	}
@@ -95,7 +97,8 @@ func TestBranchBoundCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	seed := []int{0, 1} // any pair is a 2-plex: each member tolerates one non-neighbour
-	res, err := e.BranchBoundCtx(ctx, BBOptions{Seed: seed})
+	order, _ := reduce.DegeneracyOrder(g)
+	res, err := e.BranchBound(ctx, BBOptions{Seed: seed, Order: order})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v, want context.Canceled in the chain", err)
 	}

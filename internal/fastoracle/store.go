@@ -1,12 +1,14 @@
 package fastoracle
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/reduce"
 )
 
 // DefaultTableCutoff is NewStore's representation switch: at or below it
@@ -62,7 +64,7 @@ func NewStore(g *graph.Graph, k int) (Store, error) {
 		}
 		return t, nil
 	}
-	return &Lazy{e: e}, nil
+	return &Lazy{e: e, g: g}, nil
 }
 
 // Lazy answers the Store queries without materialising 2^n bits:
@@ -76,7 +78,10 @@ func NewStore(g *graph.Graph, k int) (Store, error) {
 // tiny thresholds; the binary search that consumes it probes near the
 // top.
 type Lazy struct {
-	e       *Evaluator
+	e *Evaluator
+	// g is the graph e was built from; MaxPlexSize branches over its
+	// degeneracy order.
+	g       *graph.Graph
 	maxOnce sync.Once
 	maxSize int
 	// nodes accumulates the search-tree nodes every lazy answer cost
@@ -165,10 +170,12 @@ func (b *bbState) countAtLeast(cand []int, T int) int {
 }
 
 // MaxPlexSize returns the largest k-plex size, computed once via
-// BranchBound and cached for subsequent calls.
+// BranchBound over the degeneracy order and cached for subsequent calls.
 func (l *Lazy) MaxPlexSize() int {
 	l.maxOnce.Do(func() {
-		res := l.e.BranchBound(nil)
+		order, _ := reduce.DegeneracyOrder(l.g)
+		//lint:allow errwrap context.Background never cancels, so the only error BranchBound returns cannot occur here
+		res, _ := l.e.BranchBound(context.Background(), BBOptions{Order: order})
 		l.maxSize = res.Size
 		l.nodes.Add(res.Nodes)
 	})

@@ -81,7 +81,7 @@ func TestLazyMatchesTableExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy := &Lazy{e: e}
+		lazy := &Lazy{e: e, g: g}
 		if lazy.N() != tab.N() {
 			t.Fatalf("N mismatch: %d vs %d", lazy.N(), tab.N())
 		}
@@ -146,6 +146,42 @@ func TestStoreAboveCutoverMatchesTable(t *testing.T) {
 	}
 }
 
+// TestLazyMaxPlexPinned pins the lazy store's maximum and its search
+// cost on seeded instances. The node count depends on the branch order,
+// so any drift in the degeneracy order the store branches over (minimum
+// degree first, lowest index on ties) shows up here as a changed count.
+func TestLazyMaxPlexPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, m  int
+		seed  int64
+		k     int
+		size  int
+		nodes int64
+	}{
+		{24, 90, 11, 2, 5, 437},
+		{24, 90, 11, 3, 7, 1291},
+		{40, 200, 12, 2, 5, 1373},
+		{40, 200, 12, 3, 7, 6004},
+		{64, 400, 13, 2, 6, 3258},
+		{64, 400, 13, 3, 7, 25339},
+	} {
+		s, err := NewStore(graph.Gnm(c.n, c.m, c.seed), c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, ok := s.(*Lazy)
+		if !ok {
+			t.Fatalf("n=%d: store is %T, want *Lazy", c.n, s)
+		}
+		if got := lazy.MaxPlexSize(); got != c.size {
+			t.Errorf("Gnm(%d,%d,%d) k=%d: MaxPlexSize=%d, want %d", c.n, c.m, c.seed, c.k, got, c.size)
+		}
+		if got := lazy.SearchNodes(); got != c.nodes {
+			t.Errorf("Gnm(%d,%d,%d) k=%d: SearchNodes=%d, want %d", c.n, c.m, c.seed, c.k, got, c.nodes)
+		}
+	}
+}
+
 func TestLazyCountedPredicate(t *testing.T) {
 	s, err := NewStore(graph.Gnm(DefaultTableCutoff+1, 50, 4), 2)
 	if err != nil {
@@ -183,7 +219,7 @@ func BenchmarkStoreCrossover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		want := e.BranchBound(nil).Size
+		want := solve(b, e, g, BBOptions{}).Size
 		b.Run(fmt.Sprintf("table/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tab, terr := e.Table()
@@ -197,7 +233,7 @@ func BenchmarkStoreCrossover(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("bb/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if e.BranchBound(nil).Size != want {
+				if solve(b, e, g, BBOptions{}).Size != want {
 					b.Fatal("branch-and-bound became inconsistent")
 				}
 			}
@@ -211,7 +247,7 @@ func BenchmarkStoreCrossover(b *testing.B) {
 	}
 	b.Run("bb/n=100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if e.BranchBound(nil).Size < 2 {
+			if solve(b, e, g, BBOptions{}).Size < 2 {
 				b.Fatal("implausible maximum on the 100-vertex instance")
 			}
 		}

@@ -1,7 +1,6 @@
 package kplex_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -30,7 +29,8 @@ func benchGraph(b *testing.B, name string) *graph.Graph {
 }
 
 // The kernelize-then-search A/B: each instance family carries the
-// kernel-on/off pair and the 1-vs-8-worker pair, which benchjson folds
+// kernel-on/off pair (the off leg is the raw reference search, rawBB) and
+// the 1-vs-8-worker pair, which benchjson folds
 // into BENCH_ISSUE8.json's speedup entries. Answers are identical across
 // all four variants (the differential tests enforce it); only the cost
 // moves. The worker pair measures the wave-parallel mode: on a
@@ -42,9 +42,7 @@ func BenchmarkBBEndToEnd(b *testing.B) {
 		g := benchGraph(b, name)
 		b.Run(name+"/nokernel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{DisableKernel: true}); err != nil {
-					b.Fatal(err)
-				}
+				rawBB(b, g, k)
 			}
 		})
 		b.Run(name+"/kernel", func(b *testing.B) {

@@ -17,7 +17,7 @@ func TestBBOptPreCanceled(t *testing.T) {
 	g := graph.Gnm(30, 120, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := kplex.BBOpt(ctx, g, 2, kplex.BBOptions{DisableKernel: true})
+	res, err := kplex.BBOpt(ctx, g, 2, kplex.BBOptions{})
 	if !errors.Is(err, kplex.ErrCanceled) {
 		t.Fatalf("pre-canceled BBOpt returned %v, want kplex.ErrCanceled in the chain", err)
 	}

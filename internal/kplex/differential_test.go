@@ -3,6 +3,7 @@ package kplex_test
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/fastoracle"
@@ -11,7 +12,40 @@ import (
 	"repro/internal/milp"
 	"repro/internal/parallel"
 	"repro/internal/qubo"
+	"repro/internal/reduce"
 )
+
+// rawBB is the kernel-free reference for the exact pipeline: greedy seed,
+// then one branch-and-bound over the whole graph in its degeneracy order,
+// with no reduction and no component split. It follows BBOpt's
+// conventions — k clamped to min(k, n), the greedy witness kept unless
+// the search strictly beats it, and one extra node for the pipeline root
+// — so its Nodes is directly comparable with BB's.
+func rawBB(tb testing.TB, g *graph.Graph, k int) kplex.Result {
+	tb.Helper()
+	n := g.N()
+	if n == 0 {
+		return kplex.Result{Nodes: 1}
+	}
+	if k > n {
+		k = n
+	}
+	best := kplex.Greedy(g, k)
+	e, err := fastoracle.New(g, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	order, _ := reduce.DegeneracyOrder(g)
+	res, err := e.BranchBound(context.Background(), fastoracle.BBOptions{Seed: best, Order: order})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Size > len(best) {
+		best = res.Set
+	}
+	sort.Ints(best)
+	return kplex.Result{Set: best, Size: len(best), Nodes: 1 + res.Nodes}
+}
 
 // The three-engine differential over the Lazy-store regime (21 ≤ n ≤ 64,
 // past the exhaustive Table, still within the one-word mask encoding):
@@ -67,10 +101,7 @@ func TestLazyStoreBBMILPDifferential(t *testing.T) {
 			}
 		}
 
-		raw, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{DisableKernel: true})
-		if err != nil {
-			t.Fatalf("trial %d: raw BB: %v", trial, err)
-		}
+		raw := rawBB(t, g, k)
 		if raw.Size != want {
 			t.Fatalf("trial %d: kernel-disabled BB says %d, Lazy store says %d", trial, raw.Size, want)
 		}
@@ -121,10 +152,7 @@ func TestBBKernelMatchesRaw(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		raw, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{DisableKernel: true})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		raw := rawBB(t, g, k)
 		if kern.Size != raw.Size {
 			t.Errorf("trial %d (n=%d k=%d): kernel pipeline says %d, raw search says %d",
 				trial, g.N(), k, kern.Size, raw.Size)

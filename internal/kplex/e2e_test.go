@@ -1,7 +1,6 @@
 package kplex_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -140,10 +139,7 @@ func TestCheckedInInstancesSolveExactly(t *testing.T) {
 			if !g.IsKPlex(res.Set, k) || len(res.Set) != res.Size {
 				t.Errorf("%s k=%d: invalid witness %v", tc.file, k, res.Set)
 			}
-			raw, err := kplex.BBOpt(context.Background(), g, k, kplex.BBOptions{DisableKernel: true})
-			if err != nil {
-				t.Fatalf("%s k=%d: raw: %v", tc.file, k, err)
-			}
+			raw := rawBB(t, g, k)
 			if raw.Size != res.Size {
 				t.Errorf("%s k=%d: kernel pipeline %d != raw search %d", tc.file, k, res.Size, raw.Size)
 			}

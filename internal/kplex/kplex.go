@@ -193,24 +193,20 @@ func (st *bsState) search(cand []int) {
 }
 
 // BBOptions tunes the exact BB pipeline. The zero value is BB's
-// behaviour: kernelization on, no observability.
+// behaviour: no observability.
 type BBOptions struct {
 	// Obs carries the observability subsystem: a kplex.bb span over the
 	// solve, reduce.peeled / reduce.edges_pruned / reduce.kernel_n /
 	// fastoracle.bb.nodes counters attributing the kernelization and
 	// search work. The zero value is inert.
 	Obs obs.Obs
-	// DisableKernel skips the reduction pass and runs branch-and-bound on
-	// the raw graph — the A/B baseline for the kernel-shrink benchmarks
-	// and the differential tests. Same answers, more nodes.
-	DisableKernel bool
 }
 
 // BB finds a maximum k-plex with the kernelize-then-search pipeline, the
 // repo's one exact classical pipeline: greedy lower bound, core–truss
 // co-pruning against it (reduce.Kernelize), per-component
 // deterministic wave-parallel branch-and-bound over the kernel's
-// degeneracy order (fastoracle.BranchBoundCtx), answers lifted back to
+// degeneracy order (fastoracle.BranchBound), answers lifted back to
 // original vertex ids. Works at any vertex count — the engine needs no
 // mask encoding. Nodes is the summed deterministic search cost, identical
 // at any worker count. Use BBOpt for cancellation.
@@ -236,8 +232,7 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 		kEff = n
 	}
 	mx := opt.Obs.Metrics
-	sp := opt.Obs.Trace.Start("kplex.bb",
-		obs.Int("n", n), obs.Int("k", kEff), obs.Bool("kernel", !opt.DisableKernel))
+	sp := opt.Obs.Trace.Start("kplex.bb", obs.Int("n", n), obs.Int("k", kEff))
 	lb := Greedy(g, kEff)
 	best := append([]int(nil), lb...)
 	// Emitted on the serial orchestration path (worker-invariant); the
@@ -263,81 +258,64 @@ func BBOpt(ctx context.Context, g *graph.Graph, k int, opt BBOptions) (Result, e
 	if err := ctx.Err(); err != nil {
 		return finish(err)
 	}
-	if opt.DisableKernel {
-		e, err := fastoracle.New(g, kEff)
+	kern := reduce.Kernelize(g, kEff, len(lb))
+	mx.Add("reduce.peeled", int64(kern.Stats.Peeled))
+	mx.Add("reduce.edges_pruned", int64(kern.Stats.EdgesPruned))
+	mx.Add("reduce.kernel_n", int64(kern.Stats.N))
+	sp.Event("kplex.bb.kernel", obs.Int("kernel_n", kern.Stats.N),
+		obs.Int("peeled", kern.Stats.Peeled), obs.Int("edges_pruned", kern.Stats.EdgesPruned),
+		obs.Int("components", kern.Stats.Components),
+		obs.Int("degeneracy", kern.Stats.Degeneracy), obs.Int("lb", len(lb)))
+	if err := ctx.Err(); err != nil {
+		return finish(err)
+	}
+	// A k-plex of size ≥ 2k-1 is connected, so components may be
+	// searched independently exactly when every improvement over the
+	// bound is that large; otherwise a disconnected optimum could
+	// straddle components and the kernel must be searched whole.
+	var parts [][]int
+	if len(lb)+1 >= 2*kEff-1 {
+		parts = kern.Comps
+	} else if kern.Sub.N() > 0 {
+		all := make([]int, kern.Sub.N())
+		for i := range all {
+			all[i] = i
+		}
+		parts = [][]int{all}
+	}
+	for _, comp := range parts {
+		// A part can only improve on the incumbent if it is larger.
+		if len(comp) <= len(best) {
+			continue
+		}
+		sub, ids := kern.Sub.InducedSubgraph(comp)
+		kSub := kEff
+		if kSub > sub.N() {
+			kSub = sub.N()
+		}
+		e, err := fastoracle.New(sub, kSub)
 		if err != nil {
 			sp.End()
 			return Result{}, fmt.Errorf("kplex: %w", err)
 		}
-		res, cerr := e.BranchBoundCtx(ctx, fastoracle.BBOptions{Seed: lb})
+		res, cerr := e.BranchBound(ctx, fastoracle.BBOptions{
+			MinSize: len(best),
+			Order:   restrictOrder(kern.Order, ids),
+		})
 		nodes += res.Nodes
 		if res.Size > len(best) {
-			best = res.Set
+			// Lift sub ids → kernel ids → original ids.
+			lifted := make([]int, len(res.Set))
+			for i, v := range res.Set {
+				lifted[i] = kern.Map[ids[v]]
+			}
+			best = lifted
+			// Serial merge path: one event per incumbent improvement,
+			// deterministic at any worker count.
 			sp.Event("kplex.bb.incumbent", obs.Int("size", len(best)))
 		}
 		if cerr != nil {
 			return finish(cerr)
-		}
-	} else {
-		kern := reduce.Kernelize(g, kEff, len(lb))
-		mx.Add("reduce.peeled", int64(kern.Stats.Peeled))
-		mx.Add("reduce.edges_pruned", int64(kern.Stats.EdgesPruned))
-		mx.Add("reduce.kernel_n", int64(kern.Stats.N))
-		sp.Event("kplex.bb.kernel", obs.Int("kernel_n", kern.Stats.N),
-			obs.Int("peeled", kern.Stats.Peeled), obs.Int("edges_pruned", kern.Stats.EdgesPruned),
-			obs.Int("components", kern.Stats.Components),
-			obs.Int("degeneracy", kern.Stats.Degeneracy), obs.Int("lb", len(lb)))
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		// A k-plex of size ≥ 2k-1 is connected, so components may be
-		// searched independently exactly when every improvement over the
-		// bound is that large; otherwise a disconnected optimum could
-		// straddle components and the kernel must be searched whole.
-		var parts [][]int
-		if len(lb)+1 >= 2*kEff-1 {
-			parts = kern.Comps
-		} else if kern.Sub.N() > 0 {
-			all := make([]int, kern.Sub.N())
-			for i := range all {
-				all[i] = i
-			}
-			parts = [][]int{all}
-		}
-		for _, comp := range parts {
-			// A part can only improve on the incumbent if it is larger.
-			if len(comp) <= len(best) {
-				continue
-			}
-			sub, ids := kern.Sub.InducedSubgraph(comp)
-			kSub := kEff
-			if kSub > sub.N() {
-				kSub = sub.N()
-			}
-			e, err := fastoracle.New(sub, kSub)
-			if err != nil {
-				sp.End()
-				return Result{}, fmt.Errorf("kplex: %w", err)
-			}
-			res, cerr := e.BranchBoundCtx(ctx, fastoracle.BBOptions{
-				MinSize: len(best),
-				Order:   restrictOrder(kern.Order, ids),
-			})
-			nodes += res.Nodes
-			if res.Size > len(best) {
-				// Lift sub ids → kernel ids → original ids.
-				lifted := make([]int, len(res.Set))
-				for i, v := range res.Set {
-					lifted[i] = kern.Map[ids[v]]
-				}
-				best = lifted
-				// Serial merge path: one event per incumbent improvement,
-				// deterministic at any worker count.
-				sp.Event("kplex.bb.incumbent", obs.Int("size", len(best)))
-			}
-			if cerr != nil {
-				return finish(cerr)
-			}
 		}
 	}
 	return finish(nil)
@@ -374,7 +352,12 @@ func restrictOrder(order []int, ids []int) []int {
 // so only the neighbourhood of P (the vertices with positive gain) is
 // scanned; the rest of the graph, all of gain 0, is scanned only when no
 // neighbour fits, and there the lowest index wins, as in the reference.
+// For k < 1 no vertex set is a k-plex, so Greedy returns nil, as
+// TabuSearch does.
 func Greedy(g *graph.Graph, k int) []int {
+	if k < 1 {
+		return nil
+	}
 	n := g.N()
 	nbrs := make([][]int, n)
 	for v := range nbrs {

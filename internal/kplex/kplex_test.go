@@ -117,6 +117,17 @@ func TestGreedyReturnsValidPlex(t *testing.T) {
 	}
 }
 
+// Regression: Greedy used to return a single vertex for k = 0, which is
+// not a 0-plex (a member would need degree ≥ |S|).
+func TestGreedyRejectsKBelowOne(t *testing.T) {
+	g := graph.Gnm(10, 23, 1)
+	for _, k := range []int{0, -1} {
+		if set := Greedy(g, k); set != nil {
+			t.Errorf("Greedy(g, %d) = %v, want nil", k, set)
+		}
+	}
+}
+
 func TestGreedyOnPlantedPlex(t *testing.T) {
 	g, plant := graph.PlantedKPlex(14, 8, 2, 0.05, 9)
 	set := Greedy(g, 2)

@@ -32,7 +32,7 @@ func Execute(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.Solve
 	switch req.Algo {
 	case api.AlgoQMKP:
 		res, err := core.SolveMKP(ctx, g, core.Spec{
-			Algo: core.AlgoMKP, K: req.K,
+			K:    req.K,
 			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(seed)), UseClassicalBounds: true},
 			Obs:  ob,
 		})
@@ -51,7 +51,7 @@ func Execute(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.Solve
 		return out, err
 	case api.AlgoQTKP:
 		res, err := core.SolveTKP(ctx, g, core.Spec{
-			Algo: core.AlgoTKP, K: req.K, T: req.T,
+			K: req.K, T: req.T,
 			Gate: &core.GateOptions{Rng: rand.New(rand.NewSource(seed))},
 			Obs:  ob,
 		})
@@ -66,7 +66,7 @@ func Execute(ctx context.Context, req *api.SolveRequest, ob obs.Obs) (*api.Solve
 	case api.AlgoQAMKP:
 		p := annealParams(req)
 		res, err := core.SolveAnneal(ctx, g, core.Spec{
-			Algo: core.AlgoAnneal, K: req.K,
+			K:      req.K,
 			Anneal: &core.AnnealOptions{R: p.R, Shots: p.Shots, DeltaT: p.DeltaT, Seed: seed},
 			Obs:    ob,
 		})
